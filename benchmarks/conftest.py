@@ -8,6 +8,9 @@ much — never exact numbers.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.workloads import (
@@ -15,6 +18,13 @@ from repro.bench.workloads import (
     shared_body_model,
     talking_dataset,
 )
+
+# The reference-field rows share the closure-chain oracle with the
+# tests (``tests/reference_field.py``): keep the repository root
+# importable however pytest was launched.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_terminal_summary(terminalreporter):

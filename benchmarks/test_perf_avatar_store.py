@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from conftest import register
-from repro.avatar import KeypointMeshReconstructor
 from repro.bench.harness import ExperimentTable
 from repro.bench.results import BenchRecord, current_commit, write_records
 from repro.body.pose import BodyPose
@@ -75,12 +74,6 @@ def _run_returning_user() -> dict:
     serving engine with the store on; returns per-frame timings."""
     shape, frames = _identity_frames()
     pipe = KeypointSemanticPipeline(resolution=RESOLUTION, seed=0)
-    # Dense extraction at the bench resolution would dominate the
-    # cold frame with grid evaluation; the octree extractor is the
-    # production path at high resolution.
-    pipe.reconstructor = KeypointMeshReconstructor(
-        resolution=RESOLUTION, extraction="octree"
-    )
     timings = {"cold": None, "warm": [], "warm_evals": []}
     with ServingEngine(ServingConfig(workers=0, store=True)) as engine:
         for index, pose in frames:

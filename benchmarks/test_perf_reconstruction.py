@@ -2,10 +2,11 @@
 
 Figure 4's bottleneck is implicit-field mesh reconstruction.  This
 suite measures the two optimisations that attack it — the fused
-batched capsule kernel (vs the reference closure chain) and
-warm-starting extraction from the previous frame's surface cells —
-and persists the numbers to ``BENCH_reconstruction.json`` at the repo
-root so speedups are diffable across commits.
+batched capsule kernel (vs the reference closure chain, installed
+through the reconstructor's ``field_hook``) and warm-starting
+extraction from the previous frame's leaf set — and persists the
+numbers to ``BENCH_reconstruction.json`` at the repo root so speedups
+are diffable across commits.
 
 Both optimisations are exact: fused-vs-reference agreement is asserted
 to 1e-9 on randomised poses, and warm-started frames must produce
@@ -37,6 +38,7 @@ from repro.gaze.lod import GazeDepthBudget
 from repro.geometry.capsule_kernel import kernel_available
 from repro.geometry.distance import hausdorff_distance
 from repro.geometry.sdf import FusedCapsuleUnion, evaluate_batch
+from tests.reference_field import reference_field
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_reconstruction.json"
@@ -64,8 +66,8 @@ def _mesh_digest(mesh) -> str:
     return blob.hexdigest()
 
 
-def _run_sequence(frames, resolution, fused, warm_start,
-                  extraction="dense", budget=None):
+def _run_sequence(frames, resolution, warm_start, reference=False,
+                  octree_base=None, budget=None):
     """Total seconds / evaluations / mesh digests over a sequence.
 
     Meshes are reduced to digests immediately so the module-scoped
@@ -73,13 +75,12 @@ def _run_sequence(frames, resolution, fused, warm_start,
     pressure measurably slows later timed runs.  Only the first
     frame's mesh is kept, for the octree surface-error comparison.
     """
-    kwargs = {}
-    if extraction != "dense":
-        kwargs = dict(extraction=extraction, octree_base=OCTREE_BASE)
     reconstructor = KeypointMeshReconstructor(
-        resolution=resolution, fused=fused, warm_start=warm_start,
-        **kwargs,
+        resolution=resolution, warm_start=warm_start,
+        octree_base=octree_base,
     )
+    if reference:
+        reconstructor.field_hook = reference_field
     if budget is not None:
         reconstructor.set_depth_budget(budget)
     results = []
@@ -99,9 +100,10 @@ def _run_sequence(frames, resolution, fused, warm_start,
     }
 
 
-# Octree root-grid resolution.  Coarser than the dense cascade's base
-# (32): the extra pruning level is where the octree's cold frames beat
-# the cascade — warm frames already skip the coarse levels in both.
+# Root grid of the "octree" rows.  Coarser than the root derived from
+# the resolution (32 above 64, the resolution itself at 64 and below):
+# the extra pruning level is where cold frames save evaluations — warm
+# frames already skip the root pass in both.
 OCTREE_BASE = 16
 
 
@@ -123,14 +125,16 @@ def perf_sweep():
     sweep = {}
     for resolution in RESOLUTIONS:
         sweep[resolution] = {
-            "warm": _run_sequence(frames, resolution, True, True),
-            "cold": _run_sequence(frames, resolution, True, False),
-            "reference": _run_sequence(frames, resolution, False, False),
+            "warm": _run_sequence(frames, resolution, True),
+            "cold": _run_sequence(frames, resolution, False),
+            "reference": _run_sequence(
+                frames, resolution, False, reference=True
+            ),
             "octree": _run_sequence(
-                frames, resolution, True, True, extraction="octree"
+                frames, resolution, True, octree_base=OCTREE_BASE
             ),
             "octree_fov": _run_sequence(
-                frames, resolution, True, True, extraction="octree",
+                frames, resolution, True, octree_base=OCTREE_BASE,
                 budget=_gaze_budget(),
             ),
         }
@@ -144,8 +148,8 @@ def test_fused_matches_reference_randomized(benchmark):
     worst = 0.0
     for seed in range(3):
         pose = BodyPose.random(rng=rng, scale=0.6)
-        fused = PosedBodyField(pose=pose, fused=True)
-        reference = PosedBodyField(pose=pose, fused=False)
+        fused = PosedBodyField(pose=pose)
+        reference = reference_field(fused)
         lo, hi = fused.bounds()
         points = rng.uniform(lo, hi, size=(20_000, 3))
         error = float(
@@ -228,7 +232,7 @@ def _batch_problems(rng, backend):
     problems = []
     for _ in range(N_PROBLEMS):
         pose = BodyPose.random(rng=rng, scale=0.5)
-        fld = PosedBodyField(pose=pose, fused=True)
+        fld = PosedBodyField(pose=pose)
         base = fld._base_sdf
         fused = FusedCapsuleUnion(
             heads=base._a,
@@ -330,9 +334,10 @@ def test_perf_batched_kernel_throughput(batch_sweep, benchmark):
 
 
 def test_perf_octree_extraction(perf_sweep, benchmark):
-    """Octree extraction rows: strictly fewer field evaluations than
-    the warm dense cascade at every resolution, fewer still with a
-    gaze budget, all within Hausdorff tolerance of the dense surface.
+    """Root-16 octree rows: strictly fewer field evaluations than the
+    warm rows on the derived root at every resolution, fewer still
+    with a gaze budget, all within Hausdorff tolerance of the derived-
+    root surface.
 
     Sampled Hausdorff has a nonzero noise floor even for identical
     meshes (independent sample draws), so tolerances are expressed as
@@ -346,7 +351,7 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
     commit = current_commit()
     drop = _gaze_budget().peripheral_drop
     table = ExperimentTable(
-        title="Perf — octree extraction vs dense cascade",
+        title="Perf — octree root 16 (+ gaze) vs derived root",
         columns=["resolution", "warm evals", "octree evals",
                  "octree+gaze evals", "hausdorff (octree)",
                  "hausdorff (gaze)"],
@@ -361,16 +366,18 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
         warm, octree, fov = (
             runs["warm"], runs["octree"], runs["octree_fov"]
         )
-        dense_mesh = warm["first_mesh"]
+        uniform_mesh = warm["first_mesh"]
         spacing = 2.0 / resolution
-        floor = hausdorff_distance(dense_mesh, dense_mesh)
-        hd_octree = hausdorff_distance(dense_mesh, octree["first_mesh"])
-        hd_fov = hausdorff_distance(dense_mesh, fov["first_mesh"])
+        floor = hausdorff_distance(uniform_mesh, uniform_mesh)
+        hd_octree = hausdorff_distance(
+            uniform_mesh, octree["first_mesh"]
+        )
+        hd_fov = hausdorff_distance(uniform_mesh, fov["first_mesh"])
 
         assert octree["evaluations"] < warm["evaluations"], (
-            f"octree extraction did not save field evaluations at "
+            f"root {OCTREE_BASE} did not save field evaluations at "
             f"resolution {resolution}: {octree['evaluations']} vs "
-            f"{warm['evaluations']} dense-warm"
+            f"{warm['evaluations']} on the derived root"
         )
         assert fov["evaluations"] < octree["evaluations"], (
             f"gaze budget did not save further evaluations at "
@@ -382,13 +389,13 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
             f"{resolution}"
         )
         assert hd_octree <= floor + spacing, (
-            f"octree surface drifted {hd_octree:.4f} from dense at "
+            f"octree surface drifted {hd_octree:.4f} from uniform at "
             f"resolution {resolution} (floor {floor:.4f}, "
             f"spacing {spacing:.4f})"
         )
         fov_tol = 1.5 * (2 ** drop) * spacing * np.sqrt(3)
         assert hd_fov <= floor + fov_tol, (
-            f"foveated surface drifted {hd_fov:.4f} from dense at "
+            f"foveated surface drifted {hd_fov:.4f} from uniform at "
             f"resolution {resolution} (floor {floor:.4f})"
         )
 
@@ -428,10 +435,6 @@ def test_warm_start_is_exact(perf_sweep, benchmark):
             f"warm-started meshes differ from cold start at "
             f"resolution {resolution}"
         )
-        if resolution <= 64:
-            # Dense-path resolutions never warm-start (no cascade to
-            # skip); identity above still must hold.
-            continue
         assert any(warm["warm_flags"][1:]), (
             f"warm start never engaged at resolution {resolution}"
         )

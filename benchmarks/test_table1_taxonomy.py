@@ -23,6 +23,7 @@ from repro.core.taxonomy import (
     grade_reconstruction,
 )
 from repro.core.text_pipeline import TextSemanticPipeline
+from tests.reference_field import reference_field
 
 FPS = 30.0
 FRAMES = 4
@@ -107,7 +108,7 @@ def taxonomy_rows(bench_model, bench_talking):
     # fast path (whose gains are quantified in
     # test_perf_reconstruction.py instead).
     keypoint_pipe = KeypointSemanticPipeline(resolution=128)
-    keypoint_pipe.reconstructor.fused = False
+    keypoint_pipe.reconstructor.field_hook = reference_field
     keypoint_pipe.reconstructor.warm_start = False
     rows["keypoint"] = _run_pipeline(
         keypoint_pipe,

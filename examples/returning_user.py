@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.avatar import KeypointMeshReconstructor
 from repro.bench.harness import ExperimentTable
 from repro.body.pose import BodyPose
 from repro.body.shape import ShapeParams
@@ -34,11 +33,11 @@ FRAMES_PER_CALL = 5
 
 
 def make_pipeline() -> KeypointSemanticPipeline:
-    pipe = KeypointSemanticPipeline(resolution=RESOLUTION, seed=0)
-    pipe.reconstructor = KeypointMeshReconstructor(
-        resolution=RESOLUTION, extraction="octree"
+    # Root grid 32 rather than the dense 64^3 root pass the resolution
+    # would derive: the cold frame refines from a coarser grid.
+    return KeypointSemanticPipeline(
+        resolution=RESOLUTION, octree_base=32, seed=0
     )
-    return pipe
 
 
 def run_call(engine: ServingEngine, shape: ShapeParams,

@@ -45,8 +45,6 @@ class PosedBodyField:
             reconstructor whose geometry cannot represent expression
             detail beyond what the jaw joint carries.
         blend: smooth-union radius between bone capsules.
-        fused: evaluate the capsule union with the fused batched kernel
-            (default); ``False`` keeps the reference closure chain.
     """
 
     def __init__(
@@ -55,11 +53,11 @@ class PosedBodyField:
         shape: Optional[ShapeParams] = None,
         expression: Optional[ExpressionParams] = None,
         blend: float = 0.035,
-        fused: bool = True,
     ) -> None:
         self.pose = pose or BodyPose.identity()
         self.shape = shape or ShapeParams.neutral()
         self.expression = expression
+        self.blend = blend
 
         rest = rest_joint_positions()
         if np.any(self.shape.betas):
@@ -101,7 +99,6 @@ class PosedBodyField:
             self.segments,
             head_center=self._head_center,
             blend=blend,
-            fused=fused,
         )
         self._has_expression = (
             self.expression is not None
@@ -143,12 +140,7 @@ class PosedBodyField:
         """This field's query as a batchable ``(fused_sdf, points)``
         problem for :func:`repro.geometry.sdf.evaluate_batch` — the
         expression warp is applied here so the packed problem is
-        exactly the arithmetic :meth:`__call__` would run.  ``None``
-        when the field is not fused-kernel-backed."""
-        from repro.geometry.sdf import FusedCapsuleUnion
-
-        if not isinstance(self._base_sdf, FusedCapsuleUnion):
-            return None
+        exactly the arithmetic :meth:`__call__` would run."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 3:
             raise GeometryError("query points must be (N, 3)")

@@ -9,8 +9,8 @@ Two optimisations keep the hot path fast without changing its output:
 the implicit field is evaluated through the fused capsule kernel
 (:class:`repro.geometry.sdf.FusedCapsuleUnion`), and consecutive frames
 of a motion sequence warm-start surface extraction from the previous
-frame's surface cells dilated by the inter-frame motion bound, so
-static body regions skip the coarse-to-fine cascade entirely.
+frame's leaf set dilated by the inter-frame motion bound, so static
+body regions skip the coarse-to-fine refinement entirely.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ from repro.body.expression import ExpressionParams
 from repro.body.pose import BodyPose
 from repro.body.shape import ShapeParams
 from repro.errors import PipelineError
-from repro.geometry.marching import (
-    ExtractionStats,
-    extract_surface,
-    remap_cells,
-)
+from repro.geometry.marching import ExtractionStats
 from repro.geometry.mesh import TriangleMesh
-from repro.geometry.octree import extract_surface_octree, level_schedule
+
+# Both names of the one extractor stay bound here: perfbench's layer
+# probe times extraction by patching them on this module.
+from repro.geometry.octree import (  # noqa: F401
+    extract_surface,
+    extract_surface_octree,
+    warm_seeds,
+)
 
 __all__ = ["ReconstructionResult", "KeypointMeshReconstructor",
            "SUPPORTED_RESOLUTIONS"]
@@ -59,14 +62,13 @@ class ReconstructionResult:
             evaluations the reconstruction performed (0 for frames that
             never query the field, e.g. temporal warps).
         warm_started: whether extraction was seeded from the previous
-            frame's surface cells instead of the full cascade.
-        cells_refined: octree mode only — cells subdivided across all
-            refinement levels (0 on the dense path).
-        cells_skipped_gaze: octree mode only — straddling cells the
-            gaze LOD budget stopped early (0 without a budget).
-        extract_spans: octree mode only — per-refinement-level timing
-            records (``extract_octree`` span kind) for trace
-            attachment; pool workers forward these with the result.
+            frame's leaf set instead of the dense root pass.
+        cells_refined: cells subdivided across all refinement levels.
+        cells_skipped_gaze: straddling cells the gaze LOD budget
+            stopped early (0 without a budget).
+        extract_spans: per-refinement-level timing records
+            (``extract_octree`` span kind) for trace attachment; pool
+            workers forward these with the result.
     """
 
     mesh: TriangleMesh
@@ -97,38 +99,29 @@ class KeypointMeshReconstructor:
             expression channels are lost).  Raise it to study the
             quality/overhead trade-off (§3.1).
         blend: capsule smooth-union radius of the implicit field.
-        fused: evaluate the implicit field through the fused batched
-            capsule kernel; ``False`` keeps the reference closure chain
-            (identical output, ~an order of magnitude slower).
         warm_start: seed each frame's surface extraction from the
-            previous frame's surface cells, dilated by the inter-frame
-            motion bound.  The seed provably covers the new surface, so
-            the output mesh is identical to a cold start; frames whose
-            motion is too large (or whose expression changed) fall back
-            to the full cascade automatically.
-        max_seed_dilation: motion bound (in finest-level cells) beyond
-            which warm-starting is abandoned for the frame — dilating
-            further would cost more than the cascade saves.
-        extraction: ``"dense"`` keeps the coarse-to-fine cascade
-            byte-for-byte as before; ``"octree"`` switches to
-            :func:`repro.geometry.octree.extract_surface_octree`, which
-            refines per cell, batches each level's corner queries into
-            one kernel flush, and honours the per-frame gaze LOD budget
-            installed via :meth:`set_depth_budget`.
-        octree_base: root-grid resolution of the octree (depth 0);
-            ignored on the dense path.
+            previous frame's leaf set — every leaf that may hold
+            surface — dilated by the inter-frame motion bound.  The
+            seed covers every cell the new surface can cross, so the
+            output mesh is identical to a cold start; frames whose
+            motion is too large (or whose expression changed) fall
+            back to a cold start automatically.
+        max_seed_dilation: motion bound (in cells) beyond which
+            warm-starting is abandoned for the frame — dilating
+            further would cost more than the root pass saves.
+        octree_base: root-grid resolution of the extraction (depth 0);
+            ``None`` derives it from the resolution (see
+            :func:`repro.geometry.octree.level_schedule`).
     """
 
     resolution: int = 128
     expression_channels: int = 0
     blend: float = 0.035
-    fused: bool = True
     warm_start: bool = True
     max_seed_dilation: int = 3
-    extraction: str = "dense"
-    octree_base: int = 32
+    octree_base: Optional[int] = None
 
-    #: per-frame gaze LOD policy (octree mode only); install with
+    #: per-frame gaze LOD policy; install with
     #: :meth:`set_depth_budget`, cleared with None.  Deliberately not a
     #: dataclass field: it is frame state, not configuration, so pool
     #: config tuples and equality stay budget-agnostic.
@@ -161,21 +154,16 @@ class KeypointMeshReconstructor:
             raise PipelineError("expression_channels must be >= 0")
         if self.max_seed_dilation < 0:
             raise PipelineError("max_seed_dilation must be >= 0")
-        if self.extraction not in ("dense", "octree"):
-            raise PipelineError(
-                f"extraction must be 'dense' or 'octree', "
-                f"got {self.extraction!r}"
-            )
-        if self.octree_base < 2:
-            raise PipelineError("octree_base must be at least 2")
-        if self.extraction == "octree" \
-                and self.octree_base > self.resolution:
-            raise PipelineError(
-                "octree_base cannot exceed the resolution"
-            )
+        if self.octree_base is not None:
+            if self.octree_base < 2:
+                raise PipelineError("octree_base must be at least 2")
+            if self.octree_base > self.resolution:
+                raise PipelineError(
+                    "octree_base cannot exceed the resolution"
+                )
 
     def set_depth_budget(self, budget) -> None:
-        """Install this frame's gaze LOD policy (octree mode only).
+        """Install this frame's gaze LOD policy.
 
         ``budget`` is any object with a ``target_depths(centers,
         max_depth)`` method — typically a :class:`repro.gaze.lod.
@@ -218,7 +206,6 @@ class KeypointMeshReconstructor:
             shape=shape,
             expression=usable_expression,
             blend=self.blend,
-            fused=self.fused,
         )
         lo, hi = fld.bounds()
         anchors = self._field_anchors(fld)
@@ -230,57 +217,38 @@ class KeypointMeshReconstructor:
             ).copy()
         )
 
-        octree = self.extraction == "octree"
-        seeds = None
-        if self.warm_start and not octree:
-            seeds = self._seed_from_previous(lo, hi, anchors, expr_key)
-
         fld_eval = (
             fld if self.field_hook is None else self.field_hook(fld)
         )
         stats = ExtractionStats()
-        if octree:
-            seed_leaves = (
-                self._octree_seed(lo, hi, anchors, expr_key)
-                if self.warm_start
-                else None
-            )
-            mesh = extract_surface_octree(
-                fld_eval,
-                (lo, hi),
-                self.resolution,
-                base_resolution=self.octree_base,
-                budget=self.depth_budget,
-                seed_leaves=seed_leaves,
-                stats=stats,
-            )
-        else:
-            mesh = extract_surface(
-                fld_eval,
-                (lo, hi),
-                self.resolution,
-                seed_cells=seeds,
-                stats=stats,
-            )
+        seed_leaves = (
+            self._seed_leaves(lo, hi, anchors, expr_key)
+            if self.warm_start
+            else None
+        )
+        mesh = extract_surface_octree(
+            fld_eval,
+            (lo, hi),
+            self.resolution,
+            base_resolution=self.octree_base,
+            budget=self.depth_budget,
+            seed_leaves=seed_leaves,
+            stats=stats,
+        )
         evaluations = stats.field_evaluations
         warm = stats.warm_started
         if warm and mesh.num_faces == 0:
             # The seed missed the surface (should not happen within the
             # dilation bound, but never trade a frame for the shortcut).
             stats = ExtractionStats()
-            if octree:
-                mesh = extract_surface_octree(
-                    fld_eval,
-                    (lo, hi),
-                    self.resolution,
-                    base_resolution=self.octree_base,
-                    budget=self.depth_budget,
-                    stats=stats,
-                )
-            else:
-                mesh = extract_surface(
-                    fld_eval, (lo, hi), self.resolution, stats=stats
-                )
+            mesh = extract_surface_octree(
+                fld_eval,
+                (lo, hi),
+                self.resolution,
+                base_resolution=self.octree_base,
+                budget=self.depth_budget,
+                stats=stats,
+            )
             evaluations += stats.field_evaluations
             warm = False
         seconds = perf_counter() - start
@@ -295,28 +263,22 @@ class KeypointMeshReconstructor:
         registry = get_registry()
         registry.inc("avatar.reconstructions")
         registry.inc("avatar.field_evaluations", evaluations)
-        extract_spans: tuple = ()
-        if octree:
-            registry.inc(
-                "session.extract.cells_refined", stats.cells_refined
+        registry.inc("session.extract.cells_refined", stats.cells_refined)
+        registry.inc(
+            "session.extract.cells_skipped_gaze", stats.cells_skipped_gaze
+        )
+        if stats.leaf_depths is not None and len(stats.leaf_depths):
+            histogram = registry.histogram(
+                "session.extract.depth", buckets=_DEPTH_BUCKETS
             )
-            registry.inc(
-                "session.extract.cells_skipped_gaze",
-                stats.cells_skipped_gaze,
+            depths, counts = np.unique(
+                stats.leaf_depths, return_counts=True
             )
-            if stats.leaf_depths is not None and len(stats.leaf_depths):
-                histogram = registry.histogram(
-                    "session.extract.depth", buckets=_DEPTH_BUCKETS
-                )
-                depths, counts = np.unique(
-                    stats.leaf_depths, return_counts=True
-                )
-                for depth, count in zip(depths, counts):
-                    histogram.observe(float(depth), int(count))
-            extract_spans = tuple(
-                {**span, "kind": KIND_EXTRACT}
-                for span in stats.level_spans
-            )
+            for depth, count in zip(depths, counts):
+                histogram.observe(float(depth), int(count))
+        extract_spans = tuple(
+            {**span, "kind": KIND_EXTRACT} for span in stats.level_spans
+        )
         return ReconstructionResult(
             mesh=mesh,
             resolution=self.resolution,
@@ -336,94 +298,23 @@ class KeypointMeshReconstructor:
         tails = np.array([seg[2] for seg in fld.segments])
         return np.vstack([heads, tails, fld._head_center[None]])
 
-    def _seed_from_previous(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        anchors: np.ndarray,
-        expr_key: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Map the previous frame's surface cells into this frame's grid,
-        dilated by the motion bound — or None when a cold start is
-        required (first frame, big jump, or expression change)."""
-        prev = self._prev_stats
-        if (
-            prev is None
-            or prev.surface_cells is None
-            or not len(prev.surface_cells)
-            or prev.resolution != self.resolution
-        ):
-            return None
-        if (expr_key is None) != (self._prev_expression is None):
-            return None
-        if expr_key is not None and not np.array_equal(
-            expr_key, self._prev_expression
-        ):
-            return None
-        if (
-            self._prev_anchors is None
-            or self._prev_anchors.shape != anchors.shape
-        ):
-            return None
-        delta = float(
-            np.linalg.norm(anchors - self._prev_anchors, axis=1).max()
-        )
-        extent = float((hi - lo).max())
-        spacing = extent / self.resolution
-        # The surface moves at most ~delta between frames (the field is
-        # a smooth union of 1-Lipschitz primitives whose value at any
-        # point shifts by at most the largest anchor displacement), so
-        # per axis a new surface point lies within 2*delta (doubled for
-        # blend-zone slack) + half the previous cell (centre-to-surface
-        # offset inside the seed cell) of a mapped seed centre.  Index
-        # distance after the floor(): |floor(u) - floor(v)| never
-        # exceeds ceil(|u - v|), so the ceil alone is the bound.
-        dilation = int(
-            np.ceil(
-                (2.0 * delta + 0.5 * prev.spacing) / spacing
-            )
-        )
-        if dilation > self.max_seed_dilation:
-            return None
-        seeds = remap_cells(
-            prev.surface_cells,
-            prev.origin,
-            prev.spacing,
-            lo,
-            spacing,
-            self.resolution,
-            dilation=dilation,
-        )
-        return seeds if len(seeds) else None
-
-    def _octree_seed(
+    def _seed_leaves(
         self,
         lo: np.ndarray,
         hi: np.ndarray,
         anchors: np.ndarray,
         expr_key: Optional[np.ndarray],
     ) -> Optional[list]:
-        """Per-depth warm seeds for the octree extractor.
-
-        Maps the previous frame's straddling leaf set into this frame's
-        per-depth grids, dilated by the motion bound.  Each leaf seeds
-        at ``min(previous depth, current budget target at its centre)``
-        — when the gaze moved onto a region the seed refines deeper
-        from where it stopped; when it moved away, the leaf is coarsened
-        to the new target.  ``None`` means cold start (first frame,
-        grid mismatch, expression change, or too-large motion).
-        """
+        """Warm seeds from the previous frame, or ``None`` for a cold
+        start (first frame, expression change, grid mismatch, or
+        too-large motion; see :func:`repro.geometry.octree.
+        warm_seeds`)."""
         prev = self._prev_stats
         if (
             prev is None
-            or prev.leaf_cells is None
-            or prev.leaf_depths is None
-            or not len(prev.leaf_cells)
-            or prev.resolution != self.resolution
+            or self._prev_anchors is None
+            or self._prev_anchors.shape != anchors.shape
         ):
-            return None
-        levels = level_schedule(self.resolution, self.octree_base)
-        if prev.leaf_levels != levels:
             return None
         if (expr_key is None) != (self._prev_expression is None):
             return None
@@ -431,66 +322,14 @@ class KeypointMeshReconstructor:
             expr_key, self._prev_expression
         ):
             return None
-        if (
-            self._prev_anchors is None
-            or self._prev_anchors.shape != anchors.shape
-        ):
-            return None
-        delta = float(
-            np.linalg.norm(anchors - self._prev_anchors, axis=1).max()
+        return warm_seeds(
+            prev,
+            (lo, hi),
+            self.resolution,
+            self.octree_base,
+            motion=float(
+                np.linalg.norm(anchors - self._prev_anchors, axis=1).max()
+            ),
+            budget=self.depth_budget,
+            max_dilation=self.max_seed_dilation,
         )
-        extent = float((hi - lo).max())
-        max_depth = len(levels) - 1
-        prev_extent = prev.spacing * prev.resolution
-        depths = prev.leaf_depths
-        cells = prev.leaf_cells
-
-        if self.depth_budget is not None:
-            per_depth_spacing = np.array(
-                [prev_extent / level for level in levels]
-            )
-            centers = (
-                prev.origin
-                + (cells.astype(np.float64) + 0.5)
-                * per_depth_spacing[depths][:, None]
-            )
-            targets = np.asarray(
-                self.depth_budget.target_depths(centers, max_depth),
-                dtype=np.int64,
-            )
-            seed_depths = np.minimum(depths, targets)
-        else:
-            seed_depths = np.minimum(depths, max_depth)
-
-        seed_leaves = []
-        for src_depth in np.unique(depths):
-            src_spacing = prev_extent / levels[src_depth]
-            at_src = depths == src_depth
-            for dst_depth in np.unique(seed_depths[at_src]):
-                group = cells[at_src & (seed_depths == dst_depth)]
-                dst_level = levels[dst_depth]
-                dst_spacing = extent / dst_level
-                # Same motion bound as the dense warm path, expressed
-                # in destination-depth cells: 2x the largest anchor
-                # displacement (blend-zone slack) plus half a source
-                # cell (centre-to-surface offset), ceil'd because
-                # |floor(u) - floor(v)| <= ceil(|u - v|).
-                dilation = int(
-                    np.ceil(
-                        (2.0 * delta + 0.5 * src_spacing) / dst_spacing
-                    )
-                )
-                if dilation > self.max_seed_dilation:
-                    return None
-                mapped = remap_cells(
-                    group,
-                    prev.origin,
-                    src_spacing,
-                    lo,
-                    dst_spacing,
-                    dst_level,
-                    dilation=dilation,
-                )
-                if len(mapped):
-                    seed_leaves.append((int(dst_depth), mapped))
-        return seed_leaves or None

@@ -188,7 +188,7 @@ class AvatarRecord:
         pose: canonical pose the mesh was extracted at.
         shape: shape the canonical skeleton was built with.
         config: the reconstructor configuration tuple ``(resolution,
-            expression_channels, blend, extraction, octree_base)``.
+            expression_channels, blend, octree_base)``.
         hits: times this record served a frame (for validation cadence).
     """
 
@@ -306,8 +306,7 @@ class AvatarStore:
         resolution: int,
         expression_channels: int,
         blend: float,
-        extraction: str = "dense",
-        octree_base: int = 32,
+        octree_base: Optional[int] = None,
     ) -> bytes:
         """The identity key for one user's canonical mesh.
 
@@ -329,8 +328,11 @@ class AvatarStore:
                 self.bits,
             )
         )
-        if extraction != "dense":
-            digest.update(extraction.encode("utf-8"))
+        if octree_base is not None:
+            # An explicit root grid keys as it always has; the default
+            # (derived) one adds nothing, so default keys — and store
+            # snapshots filed under them — never change.
+            digest.update(b"octree")
             digest.update(struct.pack("<I", octree_base))
         self._update_family(
             digest, self._shape_grid, _SHAPE_RANGE, shape.betas

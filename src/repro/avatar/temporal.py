@@ -81,8 +81,8 @@ class TemporalReconstructor:
     def set_depth_budget(self, budget) -> None:
         """Install a gaze depth budget on the base reconstructor.
 
-        Keyframes run the base's full extraction, so an octree-mode
-        base picks the budget up there (and its leaf set seeds the next
+        Keyframes run the base's full extraction, so the base picks
+        the budget up there (and its leaf set seeds the next
         keyframe); warps re-pose the cached mesh and never query the
         field, so the budget has nothing to do between keyframes.
         """

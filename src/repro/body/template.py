@@ -21,14 +21,9 @@ from repro.body.skeleton import (
     rest_joint_positions,
 )
 from repro.errors import GeometryError
-from repro.geometry.marching import extract_surface
 from repro.geometry.mesh import TriangleMesh
-from repro.geometry.sdf import (
-    FusedCapsuleUnion,
-    ellipsoid,
-    rounded_cone,
-    smooth_union,
-)
+from repro.geometry.octree import extract_surface
+from repro.geometry.sdf import FusedCapsuleUnion
 from repro.geometry.simplify import decimate_to_vertex_count
 
 __all__ = [
@@ -53,42 +48,31 @@ def body_sdf_from_segments(
     segments: List[Tuple[str, np.ndarray, np.ndarray, float, float]],
     head_center: np.ndarray = None,
     blend: float = 0.035,
-    fused: bool = True,
-):
+) -> FusedCapsuleUnion:
     """Smooth-union SDF of bone capsules plus an ellipsoidal cranium.
 
     This same constructor serves two roles: building the rest-pose
     template here, and — fed with *posed* segments — acting as the
-    pose-conditioned implicit field of the avatar reconstructor.
-
-    By default the field is a :class:`FusedCapsuleUnion` evaluated as
-    one batched kernel; ``fused=False`` builds the original closure
-    chain, retained as the reference implementation (the two agree to
-    ~1e-9 everywhere).
+    pose-conditioned implicit field of the avatar reconstructor.  The
+    field is a :class:`FusedCapsuleUnion` evaluated as one batched
+    kernel; :meth:`FusedCapsuleUnion.reference` gives the equivalent
+    ``smooth_union`` closure chain (the two agree to ~1e-9).
     """
     if not segments and head_center is None:
         raise GeometryError("no body primitives")
-    if fused:
-        heads = np.array([head for _, head, _, _, _ in segments])
-        tails = np.array([tail for _, _, tail, _, _ in segments])
-        radii_head = np.array([r for _, _, _, r, _ in segments])
-        radii_tail = np.array([r for _, _, _, _, r in segments])
-        return FusedCapsuleUnion(
-            heads.reshape(-1, 3),
-            tails.reshape(-1, 3),
-            radii_head,
-            radii_tail,
-            blend=blend,
-            ellipsoid_center=head_center,
-            ellipsoid_radii=_HEAD_RADII if head_center is not None else None,
-        )
-    primitives = [
-        rounded_cone(head, tail, r_head, r_tail)
-        for _, head, tail, r_head, r_tail in segments
-    ]
-    if head_center is not None:
-        primitives.append(ellipsoid(head_center, _HEAD_RADII))
-    return smooth_union(primitives, k=blend)
+    heads = np.array([head for _, head, _, _, _ in segments])
+    tails = np.array([tail for _, _, tail, _, _ in segments])
+    radii_head = np.array([r for _, _, _, r, _ in segments])
+    radii_tail = np.array([r for _, _, _, _, r in segments])
+    return FusedCapsuleUnion(
+        heads.reshape(-1, 3),
+        tails.reshape(-1, 3),
+        radii_head,
+        radii_tail,
+        blend=blend,
+        ellipsoid_center=head_center,
+        ellipsoid_radii=_HEAD_RADII if head_center is not None else None,
+    )
 
 
 @dataclass

@@ -67,15 +67,16 @@ class FoveatedHybridPipeline(HolographicPipeline):
         viewer_camera: the remote viewer's head pose (updated per
             frame via :meth:`set_gaze`).
         seed: detection noise seed.
-        peripheral_octree: run the peripheral reconstruction through
-            the octree extractor with a gaze depth budget — the same
-            gaze cone that selects the foveal submesh also caps the
-            octree depth outside it, so the periphery refines
-            ``peripheral_depth_drop`` levels shallower than the cone
-            interior.
         peripheral_depth_drop: refinement levels dropped outside the
-            cone (octree mode only).
-        octree_base: octree root-grid resolution (octree mode only).
+            gaze cone.  Above 0 the peripheral reconstruction gets a
+            gaze depth budget — the same cone that selects the foveal
+            submesh also caps the refinement depth outside it, so the
+            periphery refines this many levels shallower than the cone
+            interior.  0 installs no budget.
+        octree_base: root-grid resolution of the peripheral
+            extraction.  ``None`` derives it from the resolution, or,
+            under a gaze budget, uses 32 (capped at the resolution) so
+            there are levels to drop.
     """
 
     output_format = "mesh"
@@ -86,10 +87,11 @@ class FoveatedHybridPipeline(HolographicPipeline):
         peripheral_resolution: int = 64,
         viewer_camera: Optional[Camera] = None,
         seed: int = 0,
-        peripheral_octree: bool = False,
-        peripheral_depth_drop: int = 1,
-        octree_base: int = 32,
+        peripheral_depth_drop: int = 0,
+        octree_base: Optional[int] = None,
     ) -> None:
+        if peripheral_depth_drop < 0:
+            raise PipelineError("peripheral_depth_drop must be >= 0")
         self.foveation = FoveationModel(
             foveal_radius_degrees=foveal_radius_degrees
         )
@@ -99,18 +101,17 @@ class FoveatedHybridPipeline(HolographicPipeline):
         self.tracker = KeypointTracker()
         self.pose_smoother = PoseSmoother()
         self.fitter = PoseFitter()
-        self.peripheral_octree = peripheral_octree
         self.peripheral_depth_drop = peripheral_depth_drop
-        if peripheral_octree:
-            self.reconstructor = KeypointMeshReconstructor(
-                resolution=peripheral_resolution,
-                extraction="octree",
-                octree_base=min(octree_base, peripheral_resolution),
-            )
-        else:
-            self.reconstructor = KeypointMeshReconstructor(
-                resolution=peripheral_resolution
-            )
+        if peripheral_depth_drop and octree_base is None:
+            octree_base = 32
+        self.reconstructor = KeypointMeshReconstructor(
+            resolution=peripheral_resolution,
+            octree_base=(
+                None
+                if octree_base is None
+                else min(octree_base, peripheral_resolution)
+            ),
+        )
         self.viewer_camera = viewer_camera or Camera.looking_at(
             Intrinsics.from_fov(320, 240, 90.0),
             eye=(0.0, 1.6, 2.5),
@@ -119,12 +120,12 @@ class FoveatedHybridPipeline(HolographicPipeline):
         self.gaze_angles = np.zeros(2)
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        octree_tag = "-octree" if peripheral_octree else ""
+        octree_tag = "-octree" if peripheral_depth_drop else ""
         self.name = (
             f"foveated-{foveal_radius_degrees:g}deg-"
             f"p{peripheral_resolution}{octree_tag}"
         )
-        if peripheral_octree:
+        if peripheral_depth_drop:
             self._update_depth_budget()
 
     def reset(self) -> None:
@@ -139,7 +140,7 @@ class FoveatedHybridPipeline(HolographicPipeline):
         self.gaze_angles = np.asarray(gaze_angles, dtype=np.float64)
         if camera is not None:
             self.viewer_camera = camera
-        if self.peripheral_octree:
+        if self.peripheral_depth_drop:
             self._update_depth_budget()
 
     def _update_depth_budget(self) -> None:

@@ -56,12 +56,11 @@ class KeypointSemanticPipeline(HolographicPipeline):
             back to freezing the last mesh (the concealment floor).
         conceal_damping: per-frame damping of the extrapolated pose
             velocity in (0, 1]; lower values brake the motion sooner.
-        extraction: receiver surface extraction — ``"dense"`` keeps
-            the legacy coarse-to-fine cascade byte for byte,
-            ``"octree"`` refines per cell and honours a gaze LOD
-            budget installed on the reconstructor (the broadcast
-            caching tier groups receivers by that budget).
-        octree_base: octree root-grid resolution (octree mode only).
+        octree_base: root-grid resolution of the receiver's surface
+            extraction; ``None`` derives it from the resolution.  A
+            gaze LOD budget installed on the reconstructor (the
+            broadcast caching tier groups receivers by one) needs
+            levels between the root and the resolution to drop.
         seed: detection noise seed.
     """
 
@@ -76,8 +75,7 @@ class KeypointSemanticPipeline(HolographicPipeline):
         expression_channels: int = 0,
         max_extrapolation_frames: int = 12,
         conceal_damping: float = 0.85,
-        extraction: str = "dense",
-        octree_base: int = 32,
+        octree_base: Optional[int] = None,
         seed: int = 0,
     ) -> None:
         if max_extrapolation_frames < 0:
@@ -99,7 +97,6 @@ class KeypointSemanticPipeline(HolographicPipeline):
         base = KeypointMeshReconstructor(
             resolution=resolution,
             expression_channels=expression_channels,
-            extraction=extraction,
             octree_base=octree_base,
         )
         self.reconstructor = (
@@ -113,7 +110,7 @@ class KeypointSemanticPipeline(HolographicPipeline):
             f"keypoint-r{resolution}"
             + (
                 f"-octree{octree_base}"
-                if extraction == "octree"
+                if octree_base is not None
                 else ""
             )
             + ("-temporal" if temporal else "")

@@ -13,11 +13,8 @@ from repro.geometry.distance import (
     point_to_mesh_distance,
 )
 from repro.geometry.io import load_obj, load_ply, save_obj, save_ply
-from repro.geometry.marching import (
-    ExtractionStats,
-    extract_surface,
-    marching_tetrahedra,
-)
+from repro.geometry.marching import ExtractionStats, marching_tetrahedra
+from repro.geometry.octree import extract_surface
 from repro.geometry.sdf import FusedCapsuleUnion
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.pointcloud import PointCloud

@@ -1,12 +1,15 @@
-"""Isosurface extraction: marching tetrahedra over dense and sparse grids.
+"""Marching tetrahedra and the cell bookkeeping of surface extraction.
 
 The keypoint-semantics receiver reconstructs a mesh by sampling a
 pose-conditioned implicit field on a voxel grid (the X-Avatar
 "resolution" knob in the paper: 128/256/512/1024 voxels per axis) and
-extracting the zero level set.  Dense evaluation at 1024^3 is ~10^9
-samples, so :func:`extract_surface` refines coarse-to-fine and only
-evaluates cells near the surface — cost still grows roughly with the
-square of resolution, reproducing the paper's Figure 4 scaling.
+extracting the zero level set.  The extractor itself —
+:func:`repro.geometry.octree.extract_surface_octree`, the repository's
+only one — refines coarse-to-fine and evaluates only cells near the
+surface, so cost grows roughly with the square of resolution,
+reproducing the paper's Figure 4 scaling.  This module holds what it
+is built from: corner evaluation with deduplication, warm-start cell
+remapping, and polygonisation.
 
 We use marching *tetrahedra* (each cube split into 6 tets) rather than
 classic marching cubes: it needs no 256-entry case table, has no
@@ -17,7 +20,7 @@ orientation is fixed numerically so normals point toward positive SDF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from repro.geometry.mesh import TriangleMesh
 
 __all__ = [
     "marching_tetrahedra",
-    "extract_surface",
     "ExtractionStats",
     "dilate_cells",
     "remap_cells",
@@ -37,16 +39,11 @@ __all__ = [
 class ExtractionStats:
     """Observability and warm-start state from one extraction.
 
-    Pass a fresh instance to :func:`extract_surface` via ``stats=`` and
-    it is filled in place: how many SDF evaluations the extraction
-    actually performed, whether it ran from a warm seed, and the finest-
-    level surface cells (with their grid frame) that a subsequent frame
-    can use as its seed.
-
-    The octree extractor (:func:`repro.geometry.octree.
-    extract_surface_octree`) fills the same fields plus the leaf-set
-    fields below; the dense/sparse paths never touch them, so existing
-    consumers see an unchanged object.
+    Pass a fresh instance to :func:`repro.geometry.octree.
+    extract_surface_octree` via ``stats=`` and it is filled in place:
+    how many SDF evaluations the extraction actually performed, whether
+    it ran from a warm seed, and the leaf set (with its grid frame) that
+    a subsequent frame can use as its seed.
     """
 
     field_evaluations: int = 0
@@ -62,19 +59,23 @@ class ExtractionStats:
     spacing: float = 0.0
     #: finest-level cells per axis.
     resolution: int = 0
-    #: octree only: (L, 3) cell coords of every retained leaf, each on
-    #: the grid of its own depth (see ``leaf_depths``/``leaf_levels``).
+    #: (L, 3) cell coords of every retained leaf that may hold surface
+    #: — straddling the iso level, or with a corner value within half
+    #: a cell diagonal of it — each on the grid of its own depth (see
+    #: ``leaf_depths`` / ``leaf_levels``).  A surface thinner than a
+    #: cell can pass between a cell's corners, so these are what a
+    #: warm start must seed from, not only the straddling leaves.
     leaf_cells: Optional[np.ndarray] = None
-    #: octree only: (L,) refinement depth of each leaf cell.
+    #: (L,) refinement depth of each leaf cell.
     leaf_depths: Optional[np.ndarray] = None
-    #: octree only: cells per axis at each depth (index = depth).
+    #: cells per axis at each depth (index = depth).
     leaf_levels: Optional[tuple] = None
-    #: octree only: cells subdivided into children across all levels.
+    #: cells subdivided into children across all levels.
     cells_refined: int = 0
-    #: octree only: straddling cells the gaze LOD policy stopped early.
+    #: straddling cells the gaze LOD policy stopped early.
     cells_skipped_gaze: int = 0
-    #: octree only: per-level timing records (name/start/end/depth/
-    #: cells/evaluations dicts) for ``extract_octree`` span reporting.
+    #: per-level timing records (name/start/end/depth/cells/evaluations
+    #: dicts) for ``extract_octree`` span reporting.
     level_spans: list = field(default_factory=list)
 
 
@@ -118,39 +119,32 @@ class _QueryScratch:
     """Reusable buffers for the per-level corner queries.
 
     A coarse-to-fine extraction calls :func:`_evaluate_corners` once
-    per refinement level, and each call used to allocate a fresh
-    query-point array (and, on the dense-dedup branch, a full scratch
-    volume).  One scratch instance per extraction grows geometrically
-    to the largest level and is reused by every later pass.  Scratch
+    per refinement level.  One scratch instance per extraction keeps
+    the query-point array and the dense gather volume, growing each to
+    exactly the largest request seen (per-level query counts are not
+    monotone, so doubling past a request would permanently
+    over-allocate) and reusing them for every other level.  Scratch
     views hand out the *same memory*, so callers must consume a view
     before requesting the next one — which the level-by-level cascade
     does by construction.
-
-    ``ragged=True`` switches to exact growth for ragged flush sequences
-    (the octree extractor): per-level query counts there are not
-    monotone, so doubling past the largest request would permanently
-    over-allocate; exact growth caps the buffer at the largest flush
-    actually seen while still reusing it for every other level.
     """
 
-    def __init__(self, ragged: bool = False) -> None:
-        self._ragged = ragged
+    def __init__(self) -> None:
         self._points = np.empty((0, 3))
         self._dense = np.empty(0)
 
     def points(self, n: int) -> np.ndarray:
         """An uninitialised (n, 3) float64 view."""
         if len(self._points) < n:
-            grow = n if self._ragged else max(n, 2 * len(self._points))
-            self._points = np.empty((grow, 3))
+            self._points = np.empty((n, 3))
         return self._points[:n]
 
     def dense(self, n: int) -> np.ndarray:
         """An uninitialised (n,) float64 view."""
         if len(self._dense) < n:
-            grow = n if self._ragged else max(n, 2 * len(self._dense))
-            self._dense = np.empty(grow)
+            self._dense = np.empty(n)
         return self._dense[:n]
+
 
 # Cube corner offsets, corner c = (x, y, z) bit pattern.
 _CUBE_CORNERS = np.array(
@@ -263,90 +257,13 @@ def marching_tetrahedra(
     )
 
 
-def extract_surface(
-    sdf: Callable[[np.ndarray], np.ndarray],
-    bounds: Tuple[np.ndarray, np.ndarray],
-    resolution: int,
-    iso: float = 0.0,
-    base_resolution: int = 32,
-    dense_threshold: int = 64,
-    seed_cells: Optional[np.ndarray] = None,
-    stats: Optional[ExtractionStats] = None,
-) -> TriangleMesh:
-    """Extract the zero level set of an SDF inside an axis-aligned box.
-
-    For resolutions at or below ``dense_threshold`` the grid is sampled
-    densely.  Above it, the field is refined coarse-to-fine: the grid
-    resolution doubles each level and only cells whose corner values
-    straddle (or come close to) the iso level are kept, so the number of
-    SDF evaluations scales with surface area rather than volume.
-
-    Args:
-        sdf: callable mapping (N, 3) points to (N,) signed distances.
-        bounds: (min_corner, max_corner) of the sampling box.
-        resolution: number of cells per axis at the finest level.
-        iso: iso value.
-        base_resolution: dense resolution of the coarsest level.
-        dense_threshold: resolutions up to this are sampled densely.
-        seed_cells: optional (M, 3) finest-level cell coordinates to
-            warm-start from (e.g. the previous frame's surface cells,
-            dilated by the motion bound).  When given, the coarse-to-
-            fine cascade is skipped entirely and only these cells are
-            evaluated; the caller must guarantee the seed covers every
-            surface-crossing cell or parts of the surface will be
-            missed.  Ignored at dense resolutions.
-        stats: optional :class:`ExtractionStats` filled in place.
-
-    Returns:
-        The extracted :class:`TriangleMesh`.
-    """
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    hi = np.asarray(bounds[1], dtype=np.float64)
-    if np.any(hi <= lo):
-        raise GeometryError("bounds max must exceed min on every axis")
-    if resolution < 2:
-        raise GeometryError("resolution must be at least 2")
-    extent = float((hi - lo).max())
-    # Cubify so cells are isotropic; the SDF outside original bounds is
-    # still well defined.
-    hi = lo + extent
-
-    counting = _CountingSDF(sdf)
-    scratch = _QueryScratch()
-    if resolution <= dense_threshold:
-        mesh, surface_cells = _extract_dense(
-            counting, lo, extent, resolution, iso
-        )
-        warm = False
-    elif seed_cells is not None and len(seed_cells):
-        mesh, surface_cells = _extract_seeded(
-            counting, lo, extent, resolution, iso, seed_cells, scratch
-        )
-        warm = True
-    else:
-        mesh, surface_cells = _extract_sparse(
-            counting, lo, extent, resolution, iso, base_resolution,
-            scratch
-        )
-        warm = False
-
-    if stats is not None:
-        stats.field_evaluations = counting.count
-        stats.warm_started = warm
-        stats.surface_cells = surface_cells
-        stats.origin = lo
-        stats.spacing = extent / resolution
-        stats.resolution = resolution
-    return mesh
-
-
 def dilate_cells(
     cells: np.ndarray, dilation: int, resolution
 ) -> np.ndarray:
     """Grow a cell set by a Chebyshev (L-inf) ball of radius ``dilation``.
 
-    Used to widen a previous frame's surface cells by the inter-frame
-    motion bound before seeding :func:`extract_surface`.  Cells are
+    Used to widen a previous frame's leaf cells by the inter-frame
+    motion bound before seeding a warm-start extraction.  Cells are
     clipped to ``[0, resolution)`` and deduplicated; the result is
     sorted by linear grid index.  ``resolution`` may be a scalar or a
     per-axis ``(3,)`` array — octree warm-start seeding clips against
@@ -430,20 +347,6 @@ def remap_cells(
     return dilate_cells(mapped, dilation, dst_resolution)
 
 
-def _straddling(
-    cells: np.ndarray,
-    corner_values: np.ndarray,
-    iso: float,
-    return_values: bool = False,
-):
-    vmin = corner_values.min(axis=1)
-    vmax = corner_values.max(axis=1)
-    mask = (vmin <= iso) & (vmax >= iso)
-    if return_values:
-        return cells[mask], corner_values[mask]
-    return cells[mask]
-
-
 def _sort_cells(
     cells: np.ndarray, corner_values: np.ndarray, resolution: int
 ) -> tuple:
@@ -451,148 +354,14 @@ def _sort_cells(
 
     Cell order determines face order in :func:`_polygonise`, so sorting
     makes the output mesh a pure function of the cell *set* — seeded
-    (warm-start) and cascade (cold) extractions that visit the same
-    cells produce array-identical meshes.
+    (warm-start) and cold extractions that keep the same cells produce
+    array-identical meshes.
     """
     linear = (
         cells[:, 0] * resolution + cells[:, 1]
     ) * resolution + cells[:, 2]
     order = np.argsort(linear, kind="stable")
     return cells[order], corner_values[order]
-
-
-def _extract_dense(
-    sdf, lo: np.ndarray, extent: float, resolution: int, iso: float
-) -> tuple:
-    axis = np.linspace(0.0, extent, resolution + 1)
-    grid = np.stack(
-        np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1
-    ).reshape(-1, 3) + lo
-    values = sdf(grid).reshape(resolution + 1, resolution + 1, resolution + 1)
-    cells = np.stack(
-        np.meshgrid(
-            np.arange(resolution),
-            np.arange(resolution),
-            np.arange(resolution),
-            indexing="ij",
-        ),
-        axis=-1,
-    ).reshape(-1, 3)
-    corner_values = _gather_corner_values(values, cells)
-    # Only straddling cells can emit triangles, and restricting
-    # _polygonise to them (in the same linear order) leaves the output
-    # bit-identical to full-grid marching, at a fraction of the cost.
-    straddle = (corner_values.min(axis=1) <= iso) & (
-        corner_values.max(axis=1) >= iso
-    )
-    mesh = _polygonise(
-        cells[straddle],
-        corner_values[straddle],
-        np.array(values.shape),
-        lo,
-        extent / resolution,
-        iso,
-    )
-    return mesh, cells[straddle]
-
-
-def _extract_seeded(
-    sdf,
-    lo: np.ndarray,
-    extent: float,
-    resolution: int,
-    iso: float,
-    seed_cells: np.ndarray,
-    scratch: Optional[_QueryScratch] = None,
-) -> tuple:
-    """Finest-level-only extraction over caller-provided candidate cells."""
-    spacing = extent / resolution
-    seeds = np.asarray(seed_cells, dtype=np.int64).reshape(-1, 3)
-    seeds = seeds[
-        np.all((seeds >= 0) & (seeds < resolution), axis=1)
-    ]
-    if not len(seeds):
-        empty = TriangleMesh(
-            vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=np.int64)
-        )
-        return empty, np.zeros((0, 3), dtype=np.int64)
-    # Deduplicate via the linear index; sorting gives the same cell
-    # order a cold cascade (post _sort_cells) would produce.  Seeds from
-    # dilate_cells arrive already sorted and unique, so the sort is
-    # skipped when a cheap monotonicity check passes.
-    linear = (
-        seeds[:, 0] * resolution + seeds[:, 1]
-    ) * resolution + seeds[:, 2]
-    if len(linear) > 1 and not np.all(linear[1:] > linear[:-1]):
-        linear = np.unique(linear)
-    cells = np.stack(
-        [
-            linear // (resolution * resolution),
-            (linear // resolution) % resolution,
-            linear % resolution,
-        ],
-        axis=1,
-    )
-    corner_values = _evaluate_corners(
-        sdf, cells, lo, spacing, resolution + 1, scratch
-    )
-    cells, corner_values = _active_cells(cells, corner_values, iso, 0.0)
-    grid_shape = np.array([resolution + 1] * 3)
-    mesh = _polygonise(cells, corner_values, grid_shape, lo, spacing, iso)
-    return mesh, cells
-
-
-def _extract_sparse(
-    sdf,
-    lo: np.ndarray,
-    extent: float,
-    resolution: int,
-    iso: float,
-    base_resolution: int,
-    scratch: Optional[_QueryScratch] = None,
-) -> tuple:
-    # Build the level schedule: base, base*2, ..., resolution.  The
-    # finest level must be an exact power-of-two multiple of the base.
-    levels = [resolution]
-    while levels[-1] > base_resolution and levels[-1] % 2 == 0:
-        levels.append(levels[-1] // 2)
-    levels.reverse()
-    base = levels[0]
-
-    # Dense pass at the base level.
-    spacing = extent / base
-    axis = np.linspace(0.0, extent, base + 1)
-    grid = np.stack(
-        np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1
-    ).reshape(-1, 3) + lo
-    values = sdf(grid).reshape(base + 1, base + 1, base + 1)
-    cells = np.stack(
-        np.meshgrid(
-            np.arange(base), np.arange(base), np.arange(base), indexing="ij"
-        ),
-        axis=-1,
-    ).reshape(-1, 3)
-    corner_values = _gather_corner_values(values, cells)
-    cells, corner_values = _active_cells(
-        cells, corner_values, iso, spacing
-    )
-
-    for level in levels[1:]:
-        spacing = extent / level
-        # Subdivide each active cell into its 8 children.
-        children = (cells[:, None, :] * 2 + _CUBE_CORNERS[None]).reshape(-1, 3)
-        corner_values = _evaluate_corners(
-            sdf, children, lo, spacing, level + 1, scratch
-        )
-        keep_margin = level != levels[-1]
-        cells, corner_values = _active_cells(
-            children, corner_values, iso, spacing if keep_margin else 0.0
-        )
-
-    cells, corner_values = _sort_cells(cells, corner_values, resolution)
-    grid_shape = np.array([resolution + 1] * 3)
-    mesh = _polygonise(cells, corner_values, grid_shape, lo, spacing, iso)
-    return mesh, cells
 
 
 def _gather_corner_values(
@@ -609,7 +378,7 @@ _DENSE_DEDUP_LIMIT = 24_000_000
 
 def _evaluate_corners(
     sdf, cells: np.ndarray, lo: np.ndarray, spacing: float,
-    n_corners: int, scratch: Optional[_QueryScratch] = None,
+    n_corners: int, scratch: _QueryScratch,
 ) -> np.ndarray:
     """Evaluate the SDF at the 8 corners of each cell, deduplicated.
 
@@ -619,9 +388,9 @@ def _evaluate_corners(
     dense scratch array over the cells' bounding box when that fits
     comfortably in memory, and a sort-based ``np.unique`` otherwise.
 
-    With a ``scratch``, the query-point array (and the dense gather
-    volume) live in reused buffers instead of fresh allocations each
-    refinement level.  The points are built in place as
+    The query-point array (and the dense gather volume) live in the
+    ``scratch`` buffers, reused across refinement levels instead of
+    allocated fresh each level.  The points are built in place as
     ``copy; += bbox; *= spacing; += lo``, which is bit-identical to
     the direct expression ``lo + (coords + bbox) * spacing``: the
     integer-valued float64 additions are exact below 2**53 and IEEE
@@ -645,21 +414,13 @@ def _evaluate_corners(
         mask = np.zeros(int(shape.prod()), dtype=bool)
         mask[flat.ravel()] = True
         corner_local = np.argwhere(mask.reshape(tuple(shape)))
-        points = (
-            scratch.points(len(corner_local))
-            if scratch is not None
-            else np.empty((len(corner_local), 3))
-        )
+        points = scratch.points(len(corner_local))
         points[:] = corner_local
         points += bbox_lo
         points *= spacing
         points += lo
         values = sdf(points)
-        dense = (
-            scratch.dense(int(shape.prod()))
-            if scratch is not None
-            else np.empty(int(shape.prod()))
-        )
+        dense = scratch.dense(int(shape.prod()))
         dense[mask] = values
         return dense[flat]
     n = n_corners
@@ -672,11 +433,7 @@ def _evaluate_corners(
     ).astype(dtype)
     linear = (base[:, None] + offsets[None, :]).ravel()
     unique, inverse = np.unique(linear, return_inverse=True)
-    coords = (
-        scratch.points(len(unique))
-        if scratch is not None
-        else np.empty((len(unique), 3))
-    )
+    coords = scratch.points(len(unique))
     coords[:, 0] = unique // (n * n)
     rem = unique % (n * n)
     coords[:, 1] = rem // n
@@ -685,22 +442,6 @@ def _evaluate_corners(
     coords += lo
     unique_values = sdf(coords)
     return unique_values[inverse].reshape(-1, 8)
-
-def _active_cells(
-    cells: np.ndarray,
-    corner_values: np.ndarray,
-    iso: float,
-    margin_spacing: float,
-) -> tuple:
-    """Keep cells that straddle iso, or come within a cell diagonal of it."""
-    vmin = corner_values.min(axis=1)
-    vmax = corner_values.max(axis=1)
-    mask = (vmin <= iso) & (vmax >= iso)
-    if margin_spacing > 0:
-        diag = margin_spacing * np.sqrt(3.0)
-        near = np.minimum(np.abs(vmin - iso), np.abs(vmax - iso)) <= diag
-        mask |= near
-    return cells[mask], corner_values[mask]
 
 
 def _polygonise(

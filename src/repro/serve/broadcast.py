@@ -7,7 +7,7 @@ of that tier is served the same mesh from the shared
 result (one reconstruction per sender frame) to "one per (sender
 frame, LOD tier)": receivers are grouped by a canonical
 :class:`repro.gaze.lod.GazeDepthBudget` per tier, the budget rides the
-cache key of the octree extraction, so the first receiver of a tier
+cache key of the extraction, so the first receiver of a tier
 pays the reconstruction and the remaining N-1 hit.
 
 Receivers keep *individual* concealment state: a receiver whose last
@@ -201,7 +201,8 @@ class BroadcastSession:
         uplink: sender → caching tier link (None = ideal).
         resolution: receiver voxel resolution (shared by all tiers:
             tiers differ in gaze LOD, not grid size).
-        octree_base: octree root grid of the tiered extraction.
+        octree_base: root grid of the tiered extraction (the gaze
+            tiers stop refinement between it and the resolution).
         serving: shared :class:`~repro.serve.engine.ServingEngine`, a
             :class:`~repro.serve.config.ServingConfig` for a private
             engine, or None for a private deterministic in-process
@@ -272,7 +273,6 @@ class BroadcastSession:
         self._pipelines: Dict[str, KeypointSemanticPipeline] = {
             r.name: KeypointSemanticPipeline(
                 resolution=resolution,
-                extraction="octree",
                 octree_base=octree_base,
                 max_extrapolation_frames=max_extrapolation_frames,
                 conceal_damping=conceal_damping,

@@ -126,17 +126,18 @@ class MeshCache:
         resolution: int,
         expression_channels: int,
         blend: float,
-        extraction: str = "dense",
-        octree_base: int = 32,
+        octree_base: Optional[int] = None,
         gaze: Optional[tuple] = None,
     ) -> bytes:
         """The bucket key for one reconstruction request.
 
         Everything that influences the output mesh participates:
         quantised parameters plus the reconstructor configuration —
-        including the extraction mode and, for gaze-budgeted octree
+        including an explicitly set root grid and, for gaze-budgeted
         extraction, the wire-encoded gaze cone (a foveated mesh must
-        never satisfy a request looking elsewhere).
+        never satisfy a request looking elsewhere).  A request with
+        neither keys exactly as it always has, so keys of the default
+        configuration never change.
         """
         pose = pose or BodyPose.identity()
         shape = shape or ShapeParams.neutral()
@@ -147,9 +148,11 @@ class MeshCache:
                 "<IIdB", resolution, expression_channels, blend, self.bits
             )
         )
-        if extraction != "dense":
-            digest.update(extraction.encode("utf-8"))
-            digest.update(struct.pack("<I", octree_base))
+        if octree_base is not None or gaze is not None:
+            # 0 stands for the root derived from the resolution, which
+            # the key already holds.
+            digest.update(b"octree")
+            digest.update(struct.pack("<I", octree_base or 0))
             if gaze is not None:
                 digest.update(struct.pack("<8d", *gaze))
         self._update_family(

@@ -206,10 +206,7 @@ class ServingEngine:
                 resolution=reconstructor.resolution,
                 expression_channels=reconstructor.expression_channels,
                 blend=reconstructor.blend,
-                extraction=getattr(
-                    reconstructor, "extraction", "dense"
-                ),
-                octree_base=getattr(reconstructor, "octree_base", 32),
+                octree_base=getattr(reconstructor, "octree_base", None),
                 gaze=None if budget is None else budget.to_wire(),
             )
             mesh = self.cache.get(key)
@@ -243,12 +240,7 @@ class ServingEngine:
                     reconstructor.resolution,
                     reconstructor.expression_channels,
                     reconstructor.blend,
-                    extraction=getattr(
-                        reconstructor, "extraction", "dense"
-                    ),
-                    octree_base=getattr(
-                        reconstructor, "octree_base", 32
-                    ),
+                    octree_base=getattr(reconstructor, "octree_base", None),
                 )
                 store_record = self.store.get(
                     store_key, pose=payload.pose
@@ -304,10 +296,7 @@ class ServingEngine:
                 resolution=reconstructor.resolution,
                 expression_channels=reconstructor.expression_channels,
                 blend=reconstructor.blend,
-                extraction=getattr(
-                    reconstructor, "extraction", "dense"
-                ),
-                octree_base=getattr(reconstructor, "octree_base", 32),
+                octree_base=getattr(reconstructor, "octree_base", None),
                 gaze=None if budget is None else budget.to_wire(),
             )
             return DecodeTicket(
@@ -546,10 +535,9 @@ class ServingEngine:
         from repro.avatar.reconstructor import KeypointMeshReconstructor
 
         base = pipeline.reconstructor
-        extraction = getattr(base, "extraction", "dense")
-        octree_base = getattr(base, "octree_base", 32)
+        octree_base = getattr(base, "octree_base", None)
         config = (base.resolution, base.expression_channels, base.blend,
-                  extraction, octree_base)
+                  octree_base)
         held = self._local.get(stream)
         if held is None or held[0] != config:
             held = (
@@ -558,7 +546,6 @@ class ServingEngine:
                     resolution=base.resolution,
                     expression_channels=base.expression_channels,
                     blend=base.blend,
-                    extraction=extraction,
                     octree_base=octree_base,
                 ),
             )

@@ -218,15 +218,13 @@ def _worker_main(
     def get_reconstructor(stream, config, gaze):
         held = reconstructors.get(stream)
         if held is None or held[0] != config:
-            (resolution, expression_channels, blend,
-             extraction, octree_base) = config
+            resolution, expression_channels, blend, octree_base = config
             held = (
                 config,
                 KeypointMeshReconstructor(
                     resolution=resolution,
                     expression_channels=expression_channels,
                     blend=blend,
-                    extraction=extraction,
                     octree_base=octree_base,
                 ),
             )
@@ -810,14 +808,13 @@ class ReconstructionPool:
         resolution: int = 128,
         expression_channels: int = 0,
         blend: float = 0.035,
-        extraction: str = "dense",
-        octree_base: int = 32,
+        octree_base: Optional[int] = None,
         gaze: Optional[tuple] = None,
     ) -> int:
         """Queue one reconstruction; returns a job id for :meth:`result`.
 
-        ``extraction``/``octree_base`` are reconstructor config (part
-        of the coalescing compatibility key); ``gaze`` is an optional
+        ``octree_base`` is reconstructor config (part of the
+        coalescing compatibility key); ``gaze`` is an optional
         :meth:`repro.gaze.lod.GazeDepthBudget.to_wire` tuple applied
         per job, so streams with different gazes still coalesce.
         """
@@ -831,8 +828,7 @@ class ReconstructionPool:
                 job_id,
                 stream,
                 frame_index,
-                (resolution, expression_channels, blend,
-                 extraction, octree_base),
+                (resolution, expression_channels, blend, octree_base),
                 pose.flatten().astype("<f8").tobytes(),
                 None
                 if shape is None

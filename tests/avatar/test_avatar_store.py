@@ -63,7 +63,20 @@ class TestIdentityKey:
         assert store.key(_shape(1), None, 128, 0, 0.035) != base
         assert store.key(_shape(1), None, 64, 0, 0.05) != base
         assert store.key(_shape(1), None, 64, 0, 0.035,
-                         extraction="octree") != base
+                         octree_base=32) != base
+        store.close()
+
+    def test_keys_frozen_across_the_extractor_collapse(self):
+        """Keys recorded before the dense extraction path was removed,
+        so snapshots saved then still restore."""
+        store = AvatarStore()
+        shape = ShapeParams(betas=np.array([0.5, -0.25]))
+        assert store.key(shape, None, 128, 0, 0.035).hex() == (
+            "5c2a47214016c41a7b1135c6960dcda6"
+        )
+        assert store.key(
+            shape, None, 128, 0, 0.035, octree_base=16
+        ).hex() == "2a8e30fea49853a965d6731782d398f4"
         store.close()
 
     def test_expression_basis_participates_when_enabled(self):

@@ -1,9 +1,9 @@
-"""Octree extraction mode of the keypoint-mesh reconstructor."""
+"""Octree extraction in the keypoint-mesh reconstructor: root grids,
+warm start and the gaze LOD budget."""
 
 import numpy as np
 import pytest
 
-import repro.avatar.reconstructor as reconstructor_module
 from repro.avatar.reconstructor import KeypointMeshReconstructor
 from repro.avatar.temporal import TemporalReconstructor
 from repro.body.motion import talking
@@ -12,6 +12,7 @@ from repro.errors import PipelineError
 from repro.gaze.lod import GazeDepthBudget
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.obs.tracer import KIND_EXTRACT
+from tests.geometry.frozen import assert_frozen
 
 
 def _budget(drop=2):
@@ -24,66 +25,41 @@ def _budget(drop=2):
 
 
 class TestConfig:
-    def test_invalid_extraction_mode(self):
-        with pytest.raises(PipelineError):
-            KeypointMeshReconstructor(extraction="quadtree")
-
     def test_octree_base_must_fit(self):
         with pytest.raises(PipelineError):
-            KeypointMeshReconstructor(
-                resolution=64, extraction="octree", octree_base=128
-            )
+            KeypointMeshReconstructor(resolution=64, octree_base=128)
 
     def test_octree_base_minimum(self):
         with pytest.raises(PipelineError):
-            KeypointMeshReconstructor(
-                extraction="octree", octree_base=1
-            )
-
-
-class TestDensePathUntouched:
-    def test_dense_mode_never_calls_octree(self, monkeypatch):
-        """With extraction off the dense path must be byte-identical
-        to the pre-octree code: the octree entry point is provably
-        never invoked."""
-
-        def sentinel(*args, **kwargs):
-            raise AssertionError(
-                "extract_surface_octree called in dense mode"
-            )
-
-        monkeypatch.setattr(
-            reconstructor_module, "extract_surface_octree", sentinel
-        )
-        rec = KeypointMeshReconstructor(resolution=48)
-        frames = talking(n_frames=2)
-        for frame in frames:
-            result = rec.reconstruct(pose=frame.pose)
-            assert result.mesh.num_faces > 0
-            assert result.cells_refined == 0
-            assert result.cells_skipped_gaze == 0
-            assert result.extract_spans == ()
+            KeypointMeshReconstructor(octree_base=1)
 
 
 class TestOctreeMatchesDense:
+    """The reconstructor reproduces the retired dense cascade's meshes
+    (frozen digests), on the derived root and on an explicit one."""
+
     def test_cold_and_warm_frames_identical(self):
         frames = talking(n_frames=3)
-        dense = KeypointMeshReconstructor(resolution=96)
-        octree = KeypointMeshReconstructor(
-            resolution=96, extraction="octree"
-        )
-        for frame in frames:
-            rd = dense.reconstruct(pose=frame.pose)
-            ro = octree.reconstruct(pose=frame.pose)
-            assert np.array_equal(rd.mesh.vertices, ro.mesh.vertices)
-            assert np.array_equal(rd.mesh.faces, ro.mesh.faces)
-            assert rd.warm_started == ro.warm_started
+        for octree_base in (None, 32):
+            warm = KeypointMeshReconstructor(
+                resolution=96, octree_base=octree_base
+            )
+            cold = KeypointMeshReconstructor(
+                resolution=96, octree_base=octree_base, warm_start=False
+            )
+            for index, frame in enumerate(frames):
+                rw = warm.reconstruct(pose=frame.pose)
+                rc = cold.reconstruct(pose=frame.pose)
+                assert_frozen(f"talking4-r96-f{index}-warm", rw.mesh)
+                assert_frozen(
+                    f"talking4-r96-f{index}-cold", rc.mesh,
+                    rc.field_evaluations,
+                )
+                assert rw.warm_started == (index > 0)
 
     def test_warm_start_saves_evaluations(self):
         frames = talking(n_frames=3)
-        rec = KeypointMeshReconstructor(
-            resolution=96, extraction="octree"
-        )
+        rec = KeypointMeshReconstructor(resolution=96)
         evals = [
             rec.reconstruct(pose=f.pose).field_evaluations
             for f in frames
@@ -93,9 +69,7 @@ class TestOctreeMatchesDense:
 
     def test_reset_forces_cold_frame(self):
         frames = talking(n_frames=2)
-        rec = KeypointMeshReconstructor(
-            resolution=96, extraction="octree"
-        )
+        rec = KeypointMeshReconstructor(resolution=96)
         rec.reconstruct(pose=frames[0].pose)
         assert rec.reconstruct(pose=frames[1].pose).warm_started
         rec.reset()
@@ -105,12 +79,8 @@ class TestOctreeMatchesDense:
 class TestGazeBudget:
     def test_budget_reduces_evaluations(self):
         pose = BodyPose.identity()
-        full = KeypointMeshReconstructor(
-            resolution=96, extraction="octree"
-        ).reconstruct(pose=pose)
-        fov = KeypointMeshReconstructor(
-            resolution=96, extraction="octree"
-        )
+        full = KeypointMeshReconstructor(resolution=96).reconstruct(pose=pose)
+        fov = KeypointMeshReconstructor(resolution=96)
         fov.set_depth_budget(_budget())
         result = fov.reconstruct(pose=pose)
         assert result.field_evaluations < full.field_evaluations
@@ -120,12 +90,8 @@ class TestGazeBudget:
     def test_budget_is_not_config(self):
         """The budget must not participate in dataclass equality (pool
         configs and cache keys treat it separately)."""
-        a = KeypointMeshReconstructor(
-            resolution=64, extraction="octree"
-        )
-        b = KeypointMeshReconstructor(
-            resolution=64, extraction="octree"
-        )
+        a = KeypointMeshReconstructor(resolution=64, octree_base=32)
+        b = KeypointMeshReconstructor(resolution=64, octree_base=32)
         a.set_depth_budget(_budget())
         assert a == b
 
@@ -134,7 +100,7 @@ class TestGazeBudget:
         previous = set_registry(registry)
         try:
             rec = KeypointMeshReconstructor(
-                resolution=64, extraction="octree"
+                resolution=64, octree_base=32
             )
             rec.set_depth_budget(_budget())
             result = rec.reconstruct(pose=BodyPose.identity())
@@ -158,7 +124,7 @@ class TestTemporalPassthrough:
     def test_budget_reaches_base_reconstructor(self):
         temporal = TemporalReconstructor(
             base=KeypointMeshReconstructor(
-                resolution=64, extraction="octree"
+                resolution=64, octree_base=32
             )
         )
         budget = _budget()

@@ -11,6 +11,7 @@ from repro.avatar.reconstructor import (
 )
 from repro.avatar.temporal import TemporalReconstructor
 from repro.body.expression import ExpressionParams
+from repro.body import motion
 from repro.body.keypoints_def import NUM_KEYPOINTS
 from repro.body.motion import talking, waving
 from repro.body.pose import BodyPose
@@ -18,6 +19,8 @@ from repro.body.shape import ShapeParams
 from repro.errors import PipelineError
 from repro.geometry.distance import chamfer_distance
 from repro.keypoints.lifter import Keypoints3D
+from tests.geometry.frozen import assert_frozen
+from tests.reference_field import reference_field
 
 
 class TestPosedBodyField:
@@ -216,17 +219,61 @@ class TestWarmStart:
         cold = KeypointMeshReconstructor(resolution=96,
                                          warm_start=False)
         engaged = []
+        for index, frame in enumerate(frames):
+            rw = warm.reconstruct(pose=frame.pose)
+            rc = cold.reconstruct(pose=frame.pose)
+            assert np.array_equal(rw.mesh.vertices, rc.mesh.vertices)
+            assert np.array_equal(rw.mesh.faces, rc.mesh.faces)
+            assert_frozen(
+                f"talking4-r96-f{index}-warm", rw.mesh,
+                rw.field_evaluations,
+            )
+            assert_frozen(
+                f"talking4-r96-f{index}-cold", rc.mesh,
+                rc.field_evaluations,
+            )
+            assert 0 < rw.field_evaluations <= rc.field_evaluations
+            assert not rc.warm_started
+            engaged.append(rw.warm_started)
+        assert not engaged[0]
+        assert any(engaged[1:])
+
+    @pytest.mark.parametrize(
+        "resolution, octree_base, sequence",
+        [
+            (16, None, "talking"),
+            (16, None, "walking"),
+            (16, None, "waving"),
+            (16, 8, "talking"),
+            (16, 8, "walking"),
+            (16, 8, "waving"),
+            (24, 8, "walking"),
+        ],
+    )
+    def test_warm_equals_cold_on_coarse_grids(
+        self, resolution, octree_base, sequence
+    ):
+        """On coarse grids a limb thinner than a cell can pass between
+        one frame's corners and cross a corner in the next; warm starts
+        seeded from the straddling leaves alone lost that surface on
+        these sequences (e.g. 24 faces on talking frames 18-29 at
+        r16)."""
+        frames = getattr(motion, sequence)(n_frames=30, seed=5)
+        warm = KeypointMeshReconstructor(
+            resolution=resolution, octree_base=octree_base
+        )
+        cold = KeypointMeshReconstructor(
+            resolution=resolution, octree_base=octree_base,
+            warm_start=False,
+        )
+        engaged = 0
         for frame in frames:
             rw = warm.reconstruct(pose=frame.pose)
             rc = cold.reconstruct(pose=frame.pose)
             assert np.array_equal(rw.mesh.vertices, rc.mesh.vertices)
             assert np.array_equal(rw.mesh.faces, rc.mesh.faces)
-            assert rw.field_evaluations > 0
-            assert rc.field_evaluations > 0
-            assert not rc.warm_started
-            engaged.append(rw.warm_started)
-        assert not engaged[0]
-        assert any(engaged[1:])
+            engaged += rw.warm_started
+        assert engaged == len(frames) - 1
 
     def test_warm_start_saves_evaluations(self):
         frames = talking(n_frames=3)
@@ -264,8 +311,9 @@ class TestWarmStart:
             resolution=96, warm_start=True, expression_channels=4
         )
         neutral = ExpressionParams.neutral()
-        reconstructor.reconstruct(pose=frames[0].pose,
-                                  expression=neutral)
+        first = reconstructor.reconstruct(pose=frames[0].pose,
+                                          expression=neutral)
+        assert_frozen("expr-r96-f0", first.mesh, first.field_evaluations)
         changed = ExpressionParams(
             coefficients=np.eye(1, neutral.coefficients.size,
                                 0).ravel() * 0.4
@@ -273,15 +321,23 @@ class TestWarmStart:
         result = reconstructor.reconstruct(pose=frames[1].pose,
                                            expression=changed)
         assert not result.warm_started
+        assert_frozen(
+            "expr-r96-f1-changed", result.mesh, result.field_evaluations
+        )
 
     def test_fused_field_matches_reference_reconstruction(self):
         pose = talking(n_frames=3)[2].pose
         fused = KeypointMeshReconstructor(
-            resolution=64, fused=True, warm_start=False
+            resolution=64, warm_start=False
         ).reconstruct(pose)
-        reference = KeypointMeshReconstructor(
-            resolution=64, fused=False, warm_start=False
-        ).reconstruct(pose)
+        assert_frozen(
+            "talking3-f2-r64-cold", fused.mesh, fused.field_evaluations
+        )
+        reference_rec = KeypointMeshReconstructor(
+            resolution=64, warm_start=False
+        )
+        reference_rec.field_hook = reference_field
+        reference = reference_rec.reconstruct(pose)
         assert np.allclose(fused.mesh.vertices,
                            reference.mesh.vertices, atol=1e-9)
         assert np.array_equal(fused.mesh.faces, reference.mesh.faces)
@@ -289,6 +345,9 @@ class TestWarmStart:
     def test_inf_safe_fps(self):
         result = KeypointMeshReconstructor(resolution=48).reconstruct(
             BodyPose.identity()
+        )
+        assert_frozen(
+            "identity-r48", result.mesh, result.field_evaluations
         )
         zero = ReconstructionResult(
             mesh=result.mesh, resolution=48, seconds=0.0

@@ -8,7 +8,7 @@ from repro.capture.render import RGBDFrame, render_depth, render_rgbd
 from repro.errors import CaptureError
 from repro.geometry import sdf
 from repro.geometry.camera import Camera, Intrinsics
-from repro.geometry.marching import extract_surface
+from repro.geometry.octree import extract_surface
 
 
 @pytest.fixture(scope="module")

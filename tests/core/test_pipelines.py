@@ -230,15 +230,15 @@ class TestFoveatedPipeline:
             )
 
     def test_octree_periphery_saves_evaluations(self, talking_ds):
-        """With peripheral_octree on, the same gaze cone that selects
+        """With a peripheral depth drop, the same gaze cone that selects
         the foveal submesh caps octree depth outside it."""
         dense = FoveatedHybridPipeline(
             foveal_radius_degrees=12.0, peripheral_resolution=64
         )
+        assert dense.reconstructor.depth_budget is None
         octree = FoveatedHybridPipeline(
             foveal_radius_degrees=12.0,
             peripheral_resolution=64,
-            peripheral_octree=True,
             peripheral_depth_drop=2,
         )
         assert octree.name.endswith("-octree")
@@ -260,7 +260,7 @@ class TestFoveatedPipeline:
         pipe = FoveatedHybridPipeline(
             foveal_radius_degrees=12.0,
             peripheral_resolution=48,
-            peripheral_octree=True,
+            peripheral_depth_drop=1,
         )
         before = pipe.reconstructor.depth_budget
         pipe.set_gaze(np.array([0.3, -0.1]))

@@ -14,9 +14,13 @@ exercises both via ``REPRO_DISABLE_C_KERNEL``).
 import numpy as np
 import pytest
 
+from repro.avatar.implicit import PosedBodyField
+from repro.body.expression import ExpressionParams
+from repro.body.pose import BodyPose
 from repro.errors import GeometryError
 from repro.geometry.capsule_kernel import kernel_available
 from repro.geometry.sdf import FusedCapsuleUnion, evaluate_batch
+from tests.reference_field import reference_field
 
 TOLERANCE = 1e-9
 RESOLUTIONS = (64, 128, 256)
@@ -206,6 +210,33 @@ class TestBatchedEvaluation:
 
     def test_empty_batch(self):
         assert evaluate_batch([]) == []
+
+
+class TestPosedBodyVsClosureChain:
+    """The avatar's implicit field — posed bone capsules, cranium and
+    expression warp — against the closure-chain oracle built from the
+    same posed segments, on whichever backend is active."""
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_posed_field_matches_reference(self, resolution):
+        rng = np.random.default_rng(3000 + resolution)
+        for trial in range(3):
+            expression = (
+                ExpressionParams.named(pout=1.0, jaw_open=0.5)
+                if trial == 2
+                else None
+            )
+            fld = PosedBodyField(
+                pose=BodyPose.random(rng=rng, scale=0.6),
+                expression=expression,
+            )
+            lo, hi = fld.bounds()
+            axis = np.linspace(0.0, 1.0, resolution)
+            points = lo + axis[
+                rng.integers(0, resolution, size=(8192, 3))
+            ] * (hi - lo)
+            gap = np.abs(fld(points) - reference_field(fld)(points))
+            assert float(gap.max()) <= TOLERANCE
 
 
 class TestBackendSelection:

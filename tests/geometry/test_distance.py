@@ -15,7 +15,7 @@ from repro.geometry.distance import (
     normal_consistency,
     point_to_mesh_distance,
 )
-from repro.geometry.marching import extract_surface
+from repro.geometry.octree import extract_surface
 from repro.geometry.pointcloud import PointCloud
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))

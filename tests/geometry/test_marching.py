@@ -8,9 +8,10 @@ from repro.geometry import sdf
 from repro.geometry.marching import (
     ExtractionStats,
     dilate_cells,
-    extract_surface,
     marching_tetrahedra,
 )
+from repro.geometry.octree import extract_surface, level_schedule
+from tests.geometry.frozen import assert_frozen
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 
@@ -48,21 +49,6 @@ class TestSphereExtraction:
 
 
 class TestSparseMatchesDense:
-    def test_sparse_and_dense_agree(self):
-        shape = sdf.smooth_union(
-            [
-                sdf.capsule([0, -0.5, 0], [0, 0.5, 0], 0.2),
-                sdf.sphere([0.3, 0.3, 0.0], 0.25),
-            ],
-            k=0.05,
-        )
-        dense = extract_surface(shape, BOUNDS, 64, dense_threshold=64)
-        sparse = extract_surface(shape, BOUNDS, 64, dense_threshold=32)
-        assert np.isclose(
-            dense.surface_area(), sparse.surface_area(), rtol=1e-6
-        )
-        assert dense.num_faces == sparse.num_faces
-
     def test_sparse_watertight_at_higher_resolution(self):
         mesh = extract_surface(
             sdf.sphere([0, 0, 0], 0.5), BOUNDS, 128
@@ -147,12 +133,6 @@ class TestExtractionStats:
         assert len(stats.surface_cells) > 0
         assert stats.spacing > 0
 
-    def test_dense_path_counts_full_grid(self):
-        stats = ExtractionStats()
-        extract_surface(sdf.sphere([0, 0, 0], 0.5), BOUNDS, 16,
-                        stats=stats)
-        assert stats.field_evaluations == 17 ** 3
-
 
 class TestDilateCells:
     def test_single_cell_ball(self):
@@ -182,23 +162,39 @@ class TestDilateCells:
 
 
 class TestSeededExtraction:
+    """Finest-depth warm starts, pinned to the retired dense path's
+    meshes and evaluation counts (see :mod:`tests.geometry.frozen`)."""
+
+    @staticmethod
+    def _finest(resolution, cells):
+        return [(len(level_schedule(resolution)) - 1, cells)]
+
     def test_seeded_matches_cold_for_moved_sphere(self):
         """A translated sphere re-extracted from the previous frame's
         dilated surface cells gives the bit-identical mesh."""
         resolution = 96
         stats = ExtractionStats()
-        extract_surface(
+        first = extract_surface(
             sdf.sphere([0, 0, 0], 0.5), BOUNDS, resolution, stats=stats
         )
+        assert_frozen("sphere-r96", first, stats.field_evaluations)
         moved = sdf.sphere([0.01, 0.0, -0.01], 0.5)
-        cold = extract_surface(moved, BOUNDS, resolution)
+        cold_stats = ExtractionStats()
+        cold = extract_surface(moved, BOUNDS, resolution, stats=cold_stats)
+        assert_frozen(
+            "moved-sphere-r96-cold", cold, cold_stats.field_evaluations
+        )
         seeds = dilate_cells(stats.surface_cells, 2, resolution)
         warm_stats = ExtractionStats()
         warm = extract_surface(
-            moved, BOUNDS, resolution, seed_cells=seeds,
-            stats=warm_stats
+            moved, BOUNDS, resolution,
+            seed_leaves=self._finest(resolution, seeds),
+            stats=warm_stats,
         )
         assert warm_stats.warm_started
+        assert_frozen(
+            "moved-sphere-r96-seeded", warm, warm_stats.field_evaluations
+        )
         assert np.array_equal(warm.vertices, cold.vertices)
         assert np.array_equal(warm.faces, cold.faces)
 
@@ -206,16 +202,24 @@ class TestSeededExtraction:
         stats = ExtractionStats()
         mesh = extract_surface(
             sdf.sphere([0, 0, 0], 0.5), BOUNDS, 96,
-            seed_cells=np.zeros((0, 3), dtype=np.int64), stats=stats
+            seed_leaves=self._finest(
+                96, np.zeros((0, 3), dtype=np.int64)
+            ),
+            stats=stats,
         )
         assert not stats.warm_started
-        assert mesh.num_faces > 0
+        assert_frozen("sphere-r96", mesh, stats.field_evaluations)
 
     def test_bad_seed_misses_surface(self):
         """Seeds nowhere near the surface produce an empty mesh — the
         caller (reconstructor) is responsible for falling back."""
         seeds = np.array([[0, 0, 0], [1, 0, 0]])
+        stats = ExtractionStats()
         mesh = extract_surface(
-            sdf.sphere([0, 0, 0], 0.4), BOUNDS, 96, seed_cells=seeds
+            sdf.sphere([0, 0, 0], 0.4), BOUNDS, 96,
+            seed_leaves=self._finest(96, seeds), stats=stats,
         )
         assert mesh.num_faces == 0
+        assert_frozen(
+            "sphere-r96-bad-seed", mesh, stats.field_evaluations
+        )

@@ -1,15 +1,16 @@
-"""Differential tests: octree extraction vs the dense sparse cascade.
+"""Tests of the octree extractor, the repository's one extractor.
 
-The octree extractor promises (a) bit-identity with
-:func:`repro.geometry.marching.extract_surface` when every cell refines
-to the deepest level, (b) watertight crack-free meshes when depths mix
-under a gaze budget, and (c) strictly fewer field evaluations outside
-the gaze cone at matching in-cone quality.  Each promise is asserted
-here against the dense reference.
+The octree extractor promises (a) the meshes and evaluation counts of
+the retired dense cascade when every cell refines to the deepest level
+(frozen digests, :mod:`tests.geometry.frozen`), (b) watertight
+crack-free meshes when depths mix under a gaze budget, (c) strictly
+fewer field evaluations outside the gaze cone at matching in-cone
+quality, and (d) warm starts that reproduce cold starts bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import sdf
@@ -20,12 +21,16 @@ from repro.geometry.marching import (
     _QueryScratch,
     _evaluate_corners,
     dilate_cells,
-    extract_surface,
     remap_cells,
 )
-from repro.geometry.octree import extract_surface_octree, level_schedule
+from repro.geometry.octree import (
+    extract_surface_octree,
+    level_schedule,
+    warm_seeds,
+)
 from repro.geometry.sdf import FusedCapsuleUnion, evaluate_packed
 from repro.gaze.lod import GazeDepthBudget
+from tests.geometry.frozen import assert_frozen
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 
@@ -72,55 +77,71 @@ class TestLevelSchedule:
         assert level_schedule(32, 32) == (32,)
         assert level_schedule(24, 32) == (24,)
 
+    def test_derived_root(self):
+        # Up to 64 the root is the resolution itself (one dense pass);
+        # above it the schedule starts at 32.
+        assert level_schedule(16) == (16,)
+        assert level_schedule(64) == (64,)
+        assert level_schedule(96) == (24, 48, 96)
+        assert level_schedule(256) == (32, 64, 128, 256)
+
+
+BACKENDS = ("c", "numpy") if kernel_available() else ("numpy",)
+
 
 class TestUniformDepthBitIdentity:
-    """With no budget the octree is the sparse cascade, bit for bit."""
+    """With no budget the octree reproduces the retired dense cascade's
+    meshes and evaluation counts, bit for bit, on both backends."""
 
     @pytest.mark.parametrize("resolution", (64, 128))
     def test_mesh_and_evals_identical(self, resolution):
-        shape = _body_field()
-        dense_stats = ExtractionStats()
-        # dense_threshold=32 puts the reference on the sparse cascade
-        # whose level schedule (base 32) the octree mirrors.
-        dense = extract_surface(
-            shape, BOUNDS, resolution, dense_threshold=32,
-            stats=dense_stats,
-        )
-        octree_stats = ExtractionStats()
-        octree = extract_surface_octree(
-            shape, BOUNDS, resolution, stats=octree_stats
-        )
-        assert np.array_equal(dense.vertices, octree.vertices)
-        assert np.array_equal(dense.faces, octree.faces)
-        assert (
-            dense_stats.field_evaluations
-            == octree_stats.field_evaluations
-        )
+        for backend in BACKENDS:
+            shape = _body_field(backend)
+            stats = ExtractionStats()
+            mesh = extract_surface_octree(
+                shape, BOUNDS, resolution, base_resolution=32,
+                stats=stats,
+            )
+            assert_frozen(
+                f"body-r{resolution}-base32", mesh,
+                stats.field_evaluations, backend=backend,
+            )
+            # The derived root (32 above 64, one dense pass up to it)
+            # changes the schedule, never the uniform-depth mesh.
+            derived = extract_surface_octree(shape, BOUNDS, resolution)
+            assert_frozen(
+                f"body-r{resolution}-base32", derived, backend=backend
+            )
 
     def test_sphere_offset_iso(self):
         s = sdf.sphere([0.1, -0.05, 0.0], 0.45)
-        dense = extract_surface(s, BOUNDS, 64, iso=0.1)
-        octree = extract_surface_octree(s, BOUNDS, 64, iso=0.1)
-        assert np.array_equal(dense.vertices, octree.vertices)
-        assert np.array_equal(dense.faces, octree.faces)
+        stats = ExtractionStats()
+        octree = extract_surface_octree(
+            s, BOUNDS, 64, iso=0.1, stats=stats
+        )
+        assert_frozen("sphere-r64-iso0.1", octree, stats.field_evaluations)
+        assert stats.field_evaluations == 65 ** 3
 
 
 class TestSurfaceError:
     @pytest.mark.parametrize("resolution", (64, 128, 256))
     def test_hausdorff_within_cell_tolerance(self, resolution):
         shape = _body_field()
-        dense = extract_surface(shape, BOUNDS, resolution)
-        octree = extract_surface_octree(shape, BOUNDS, resolution)
+        uniform = extract_surface_octree(shape, BOUNDS, resolution)
+        coarse_root = extract_surface_octree(
+            shape, BOUNDS, resolution, base_resolution=8
+        )
         # The sampled Hausdorff between a mesh and itself is the
-        # sampling-noise floor; the octree mesh must not exceed it.
-        floor = hausdorff_distance(dense, dense, samples=4000)
+        # sampling-noise floor; a coarser root must not exceed it.
+        floor = hausdorff_distance(uniform, uniform, samples=4000)
         assert (
-            hausdorff_distance(dense, octree, samples=4000) <= floor
+            hausdorff_distance(uniform, coarse_root, samples=4000)
+            <= floor
         )
         # Exact surface error through the field itself (no sampling):
-        # every octree vertex within one fine cell of the level set.
+        # every vertex within one fine cell of the level set.
         spacing = 2.0 / resolution
-        assert np.abs(shape(octree.vertices)).max() < spacing
+        assert np.abs(shape(coarse_root.vertices)).max() < spacing
 
 
 class TestFoveatedExtraction:
@@ -147,10 +168,10 @@ class TestFoveatedExtraction:
 
     def test_in_cone_accuracy_matches_dense(self):
         """Vertices inside the gaze cone sit as close to the true
-        surface as the dense extraction's do."""
+        surface as the uniform-depth extraction's do."""
         shape = _body_field()
         budget = _budget(drop=2)
-        dense = extract_surface(shape, BOUNDS, 128)
+        dense = extract_surface_octree(shape, BOUNDS, 128)
         fov = extract_surface_octree(
             shape, BOUNDS, 128, budget=budget
         )
@@ -174,7 +195,7 @@ class TestFoveatedExtraction:
         )
         depths = np.unique(stats.leaf_depths)
         assert len(depths) >= 2
-        assert stats.leaf_levels == level_schedule(128, 32)
+        assert stats.leaf_levels == level_schedule(128)
         assert len(stats.leaf_cells) == len(stats.leaf_depths)
 
 
@@ -185,7 +206,7 @@ class TestWarmStart:
         mesh_cold = extract_surface_octree(
             shape, BOUNDS, 64, stats=cold
         )
-        levels = level_schedule(64, 32)
+        levels = level_schedule(64)
         seeds = []
         for depth in np.unique(cold.leaf_depths):
             mask = cold.leaf_depths == depth
@@ -218,6 +239,99 @@ class TestWarmStart:
         )
         assert not stats.warm_started
         assert mesh.num_faces > 0
+
+
+def _moving_union(seed, shift):
+    """A seeded capsule union before and after a small random motion.
+
+    Every bone endpoint (and the ellipsoid centre) moves by at most
+    ``shift``; returns both fields and that largest displacement.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    heads = rng.uniform(-0.5, 0.5, size=(n, 3))
+    tails = heads + rng.uniform(-0.3, 0.3, size=(n, 3))
+    radii = rng.uniform(0.01, 0.15, size=(2, n))
+    blend = float(rng.uniform(0.02, 0.06))
+    center = rng.uniform(-0.3, 0.3, size=3)
+    ell_radii = rng.uniform(0.08, 0.2, size=3)
+    moves = rng.normal(size=(2 * n + 1, 3))
+    moves *= (
+        shift * rng.uniform(0.0, 1.0, size=(2 * n + 1, 1))
+        / np.linalg.norm(moves, axis=1, keepdims=True)
+    )
+
+    def union(h, t, c):
+        return FusedCapsuleUnion(
+            heads=h, tails=t, radii_head=radii[0], radii_tail=radii[1],
+            blend=blend, ellipsoid_center=c, ellipsoid_radii=ell_radii,
+        )
+
+    before = union(heads, tails, center)
+    after = union(heads + moves[:n], tails + moves[n:2 * n],
+                  center + moves[-1])
+    return before, after, float(np.linalg.norm(moves, axis=1).max())
+
+
+class TestWarmEqualsCold:
+    """A warm start from the previous frame's leaves reproduces the
+    cold extraction bit for bit, on coarse grids too: seeds come from
+    every leaf with a corner within half a cell diagonal of the
+    surface, so a surface thin enough to pass between one frame's
+    corners is still seeded."""
+
+    @staticmethod
+    def _check(resolution, base, seed, motion):
+        spacing = 2.0 / resolution
+        before, after, delta = _moving_union(seed, motion * spacing)
+        prev = ExtractionStats()
+        extract_surface_octree(
+            before, BOUNDS, resolution, base_resolution=base, stats=prev
+        )
+        seeds = warm_seeds(prev, BOUNDS, resolution, base, motion=delta)
+        assert seeds is not None
+        cold = extract_surface_octree(
+            after, BOUNDS, resolution, base_resolution=base
+        )
+        stats = ExtractionStats()
+        warm = extract_surface_octree(
+            after, BOUNDS, resolution, base_resolution=base,
+            seed_leaves=seeds, stats=stats,
+        )
+        assert stats.warm_started
+        assert np.array_equal(warm.vertices, cold.vertices)
+        assert np.array_equal(warm.faces, cold.faces)
+
+    # Coarse grids are where thin capsules hide between corners, and
+    # they are cheap: most examples go there.
+    @pytest.mark.parametrize("base", (None, 8))
+    @pytest.mark.parametrize("resolution", (16, 24, 32))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), motion=st.floats(0.0, 1.0))
+    # Unions whose warm start lost surface when seeds came from the
+    # straddling leaves alone.
+    @example(seed=213, motion=0.25)
+    @example(seed=11242, motion=0.25)
+    def test_seeded_capsule_unions(self, resolution, base, seed, motion):
+        self._check(resolution, base, seed, motion)
+
+    @pytest.mark.parametrize("base", (None, 8))
+    @pytest.mark.parametrize("resolution", (48, 64, 128))
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), motion=st.floats(0.0, 1.0))
+    def test_seeded_capsule_unions_fine(
+        self, resolution, base, seed, motion
+    ):
+        self._check(resolution, base, seed, motion)
+
+    def test_grid_change_needs_cold_start(self):
+        prev = ExtractionStats()
+        extract_surface_octree(_body_field(), BOUNDS, 32, stats=prev)
+        assert warm_seeds(prev, BOUNDS, 32) is not None
+        assert warm_seeds(prev, BOUNDS, 48) is None
+        assert warm_seeds(prev, BOUNDS, 32, base_resolution=8) is None
+        # Too much motion for the dilation bound.
+        assert warm_seeds(prev, BOUNDS, 32, motion=0.5) is None
 
 
 class TestBackendDifferential:
@@ -260,18 +374,20 @@ class TestRaggedScratch:
         shape = _body_field()
         cells = np.argwhere(np.ones((5, 5, 5), dtype=bool))
         lo = np.array([-1.0, -1.0, -1.0])
-        a = _evaluate_corners(
-            shape, cells, lo, 0.25, 6, _QueryScratch(ragged=False)
-        )
+        # A scratch grown past the request hands out a prefix view.
+        grown = _QueryScratch()
+        grown.points(10_000)
+        grown.dense(10_000)
+        a = _evaluate_corners(shape, cells, lo, 0.25, 6, grown)
         b = _evaluate_corners(
-            shape, cells, lo, 0.25, 6, _QueryScratch(ragged=True)
+            shape, cells, lo, 0.25, 6, _QueryScratch()
         )
         assert np.array_equal(a, b)
 
     def test_ragged_scratch_reuse_across_sizes(self):
         shape = _body_field()
         lo = np.array([-1.0, -1.0, -1.0])
-        scratch = _QueryScratch(ragged=True)
+        scratch = _QueryScratch()
         for n in (7, 3, 11, 2):
             cells = np.argwhere(np.ones((n, 2, 2), dtype=bool))
             fresh = _evaluate_corners(

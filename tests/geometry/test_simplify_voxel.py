@@ -6,7 +6,7 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry import sdf
 from repro.geometry.distance import mesh_to_mesh_distance
-from repro.geometry.marching import extract_surface
+from repro.geometry.octree import extract_surface
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.simplify import (
     decimate_by_clustering,

@@ -103,7 +103,7 @@ class TestTrainer:
     def _scene(self):
         # A simple scene: a red blob at the origin seen by 2 cameras.
         from repro.geometry import sdf
-        from repro.geometry.marching import extract_surface
+        from repro.geometry.octree import extract_surface
         from repro.capture.render import render_rgbd
 
         bounds = (np.array([-1.0, -1, -1]), np.array([1.0, 1, 1]))

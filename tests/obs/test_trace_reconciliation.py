@@ -25,6 +25,7 @@ from repro.net.trace import BandwidthTrace
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import aggregate, load_jsonl
 from repro.obs.tracer import (
+    KIND_EXTRACT,
     KIND_FRAME,
     KIND_STAGE,
     KIND_WORKER,
@@ -104,7 +105,11 @@ class TestFrameCoverage:
                 if report.decoded is not None
                 else ()
             )
-            workers = [s for s in spans if s.kind == KIND_WORKER]
+            # Worker reconstructions ship their refinement-level
+            # spans (kind extract_octree) alongside.
+            workers = [
+                s for s in spans if s.kind in (KIND_WORKER, KIND_EXTRACT)
+            ]
             assert len(workers) == expected
             offloaded += len(workers)
             by_id = {s.span_id: s for s in spans}

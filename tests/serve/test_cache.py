@@ -97,6 +97,22 @@ class TestKeying:
                     expression_channels=4) != \
             _key(cache, pose, expression=grin, expression_channels=4)
 
+    def test_keys_frozen_across_the_extractor_collapse(self, cache):
+        """Keys recorded before the dense extraction path was removed:
+        the default configuration and an explicit root grid with a gaze
+        cone still key byte for byte as they did then."""
+        from repro.body.shape import ShapeParams
+
+        pose = BodyPose.random(np.random.default_rng(4), scale=0.5)
+        shape = ShapeParams(betas=np.array([0.5, -0.25]))
+        default = cache.key(pose, shape, None, 128, 0, 0.035)
+        assert default.hex() == "0d1ceee47e53d19d12d159050eac5fe4"
+        gaze = (0.0, 1.5, 3.0, 0.0, 0.0, -1.0, 10.0, 2.0)
+        rooted = cache.key(
+            pose, shape, None, 128, 0, 0.035, octree_base=16, gaze=gaze
+        )
+        assert rooted.hex() == "ea1f5cd46941cc7beee6eb4c0a7e1c6b"
+
     def test_in_range_keys_unchanged_by_raw_mixing(self, cache):
         """In-range states keep pure bucket keys: sub-bucket noise
         still merges (the raw-value mix applies only out of range)."""

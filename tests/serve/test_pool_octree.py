@@ -31,7 +31,7 @@ class TestPooledOctree:
         reconstructor bit for bit, warm start included."""
         budget = _budget()
         sequential = KeypointMeshReconstructor(
-            resolution=48, extraction="octree"
+            resolution=48, octree_base=32
         )
         sequential.set_depth_budget(budget)
         expected = [
@@ -44,7 +44,7 @@ class TestPooledOctree:
                     0,
                     pose=pose,
                     resolution=48,
-                    extraction="octree",
+                    octree_base=32,
                     gaze=budget.to_wire(),
                 )
                 assert np.array_equal(
@@ -57,7 +57,7 @@ class TestPooledOctree:
         with ReconstructionPool(workers=1) as pool:
             result = pool.reconstruct(
                 "s", 0, pose=poses[0], resolution=48,
-                extraction="octree",
+                octree_base=32,
             )
         extract = [
             s for s in result.spans if s.get("kind") == KIND_EXTRACT
@@ -86,7 +86,7 @@ class TestPooledOctree:
         refs = {}
         for name, budget in (("a", a), ("b", b)):
             rec = KeypointMeshReconstructor(
-                resolution=48, extraction="octree"
+                resolution=48, octree_base=32
             )
             rec.set_depth_budget(budget)
             refs[name] = rec.reconstruct(pose=poses[0])
@@ -96,11 +96,11 @@ class TestPooledOctree:
             pool.stall_worker(0, 0.3)
             ja = pool.submit(
                 "stream-a", 0, pose=poses[0], resolution=48,
-                extraction="octree", gaze=a.to_wire(),
+                octree_base=32, gaze=a.to_wire(),
             )
             jb = pool.submit(
                 "stream-b", 0, pose=poses[0], resolution=48,
-                extraction="octree", gaze=b.to_wire(),
+                octree_base=32, gaze=b.to_wire(),
             )
             ra = pool.result(ja)
             rb = pool.result(jb)
