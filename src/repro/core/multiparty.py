@@ -7,12 +7,13 @@ therefore scales with the fan-out for traditional streams — one more
 reason semantics matter as meetings grow — while per-receiver decode
 cost lands on every receiving edge.
 
-With a :class:`repro.serve.ServingConfig` (or a shared
-:class:`repro.serve.ServingEngine`) the receiving edge stops decoding
-strictly sequentially: every sender's reconstruction for a frame tick
-is fanned across the engine's worker pool, and repeated avatar states
-are served from its cross-session mesh cache.  Without one the legacy
-single-threaded loop runs unchanged.
+The receiving edge decodes through a :class:`repro.serve.ServingEngine`,
+one frame tick at a time: every sender's reconstruction for the tick is
+submitted before any is collected.  Without a serving opt-in the engine
+is private and in-process (no workers, no cache); with a
+:class:`repro.serve.ServingConfig` (or a shared engine) the tick's
+reconstructions fan across the worker pool and repeated avatar states
+are served from the cross-session mesh cache.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.capture.dataset import RGBDSequenceDataset
 from repro.core.pipeline import HolographicPipeline
-from repro.core.timing import INTERACTIVE_BUDGET, LatencyBreakdown
+from repro.core.timing import INTERACTIVE_BUDGET
 from repro.errors import PipelineError
 from repro.net.link import NetworkLink
 from repro.net.trace import BandwidthTrace
@@ -74,8 +75,7 @@ class MultiPartySummary:
         uplink_mbps: sender name -> uplink bandwidth (payload x
             fan-out x fps).
         interactive_fraction: share of pair-frames under 100 ms.
-        serving: serving-engine counters for the run (empty dict when
-            the meeting ran the legacy sequential loop).
+        serving: serving-engine counters for the run.
     """
 
     pairs: List[PairReport]
@@ -100,12 +100,11 @@ class MultiPartySession:
         decode: run receiver-side decoding (the payload is identical
             for every receiver, so it is decoded once per sender and
             the receiver compute time is charged to each pair).
-        serving: opt-in multi-core serving.  Pass a
-            :class:`repro.serve.ServingConfig` for a private engine
-            per ``run`` call, or an existing
-            :class:`repro.serve.ServingEngine` to share one edge
-            node's pool and cache across meetings.  ``None`` (the
-            default) keeps the legacy sequential loop, byte for byte.
+        serving: how receivers decode.  ``None`` (the default) gives
+            each ``run`` a private in-process engine without a cache;
+            a :class:`repro.serve.ServingConfig` a private engine of
+            that shape; an existing :class:`repro.serve.ServingEngine`
+            shares one edge node's pool and cache across meetings.
         session_id: label keying this meeting's reconstruction streams
             inside a shared engine (auto-generated when omitted).
         metrics: registry receiving the meeting's counters and
@@ -175,50 +174,14 @@ class MultiPartySession:
         self.metrics.reset("meeting.")
 
     def run(self, frames: int) -> MultiPartySummary:
-        """Run the meeting for ``frames`` frames."""
-        self._check_run(frames)
-        if self.serving is not None:
-            return self._run_serving(frames)
-
-        stats: Dict[tuple, dict] = {
-            key: {"latencies": [], "delivered": 0, "payload": []}
-            for key in self._links
-        }
-        uplink_bytes: Dict[str, float] = {
-            p.name: 0.0 for p in self.participants
-        }
-
-        for index in range(frames):
-            for sender in self.participants:
-                fps = sender.dataset.fps
-                now = index / fps
-                frame = sender.dataset.frame(index)
-                encoded = sender.pipeline.encode(frame)
-                sender.pipeline.validate_payload(encoded)
-                decode_time = 0.0
-                if self.decode:
-                    decoded = sender.pipeline.decode(encoded)
-                    decode_time = decoded.timing.total
-                self._fan_out(
-                    index, now, sender, encoded, decode_time,
-                    stats, uplink_bytes,
-                )
-
-        return self._summarize(frames, stats, uplink_bytes)
-
-    def _run_serving(self, frames: int) -> MultiPartySummary:
-        """The throughput-oriented loop: per frame tick, every
-        sender's decode is submitted to the engine before any result
-        is awaited, so independent streams reconstruct concurrently
-        (and repeated avatar states come from the cache)."""
+        """Run the meeting for ``frames`` frame ticks."""
         stepper = MultiPartyStepper(self, frames)
         try:
             while stepper.remaining:
                 stepper.tick()
-            summary = stepper.summary()
+            return stepper.summary()
         finally:
             stepper.close()
-        return summary
 
     def stepper(
         self, frames: int, engine=None
@@ -352,27 +315,16 @@ class MultiPartyStepper:
         frames: int,
         engine=None,
     ) -> None:
-        from repro.serve.config import ServingConfig
-        from repro.serve.engine import ServingEngine
+        from repro.serve.config import IN_PROCESS
+        from repro.serve.engine import resolve_engine
 
         meeting._check_run(frames)
         self.meeting = meeting
         if engine is not None:
             self._engine, self._owns_engine = engine, False
         else:
-            self._owns_engine = isinstance(
-                meeting.serving, ServingConfig
-            )
-            self._engine = (
-                ServingEngine(meeting.serving,
-                              registry=meeting.metrics)
-                if self._owns_engine
-                else meeting.serving
-            )
-        if not isinstance(self._engine, ServingEngine):
-            raise PipelineError(
-                "serving must be a ServingConfig or ServingEngine, "
-                f"got {type(meeting.serving).__name__}"
+            self._engine, self._owns_engine = resolve_engine(
+                meeting.serving, IN_PROCESS, registry=meeting.metrics
             )
         self._engine.reset_session(meeting.session_id)
         self._stats: Dict[tuple, dict] = {

@@ -178,14 +178,14 @@ class TelepresenceSession:
             measured stage times onto target hardware (None = charge
             wall-clock as measured).
         decode: run the receiver (disable for bandwidth-only studies).
-        resilience: loss-resilient transport behaviour (None = legacy
+        resilience: loss-resilient transport behaviour (None = plain
             best-effort loop: no framing, no concealment, no ladder).
-        serving: opt-in multi-core serving of receiver reconstruction.
-            Pass a :class:`repro.serve.ServingConfig` for a private
-            engine per ``run`` call, or a shared
-            :class:`repro.serve.ServingEngine` so many sessions on one
-            edge node share its pool and mesh cache.  ``None`` keeps
-            the legacy in-process decode, byte for byte.
+        serving: how the receiver decodes.  Every frame goes through a
+            :class:`repro.serve.ServingEngine`: ``None`` gives each
+            ``run`` a private in-process engine without a cache, a
+            :class:`repro.serve.ServingConfig` a private engine of that
+            shape, and a shared engine lets many sessions on one edge
+            node share its pool and mesh cache.
         session_id: label keying this session's reconstruction stream
             inside a shared engine (auto-generated when omitted).
         tracer: opt-in span tracer; every frame of :meth:`run` opens a
@@ -240,23 +240,6 @@ class TelepresenceSession:
         )
         self.reports: List[FrameReport] = []
         self._ran = False
-
-    def _resolve_engine(self):
-        """Resolve the serving opt-in to (engine, owns_engine)."""
-        if self.serving is None:
-            return None, False
-        from repro.serve.config import ServingConfig
-        from repro.serve.engine import ServingEngine
-
-        if isinstance(self.serving, ServingConfig):
-            return ServingEngine(self.serving,
-                                 registry=self.metrics), True
-        if isinstance(self.serving, ServingEngine):
-            return self.serving, False
-        raise PipelineError(
-            "serving must be a ServingConfig or ServingEngine, got "
-            f"{type(self.serving).__name__}"
-        )
 
     def _receiver_factor(self) -> float:
         return (
@@ -479,14 +462,14 @@ class SessionStepper:
     :class:`TelepresenceSession`.
 
     :meth:`TelepresenceSession.run` is ``while remaining: step()`` over
-    one of these — the legacy loop body, byte for byte.  A gateway
-    instead drives :meth:`begin_frame` / :meth:`complete_frame`
-    directly, which splits each frame at the sender/receiver boundary:
-    ``begin`` covers capture, encode and transport (and, in pipelined
-    mode, the serving-pool submit), ``complete`` covers decode,
-    concealment and reporting.  Between the two calls the frame's
-    reconstruction can overlap with every other stream on the shared
-    pool.
+    one of these.  A gateway instead drives :meth:`begin_frame` /
+    :meth:`complete_frame` directly, which splits each frame at the
+    sender/receiver boundary: ``begin`` covers capture, encode and
+    transport (and, in pipelined mode, the engine submit), ``complete``
+    covers decode, concealment and reporting.  Between the two calls
+    the frame's reconstruction can overlap with every other stream on
+    the shared pool.  Every decode is an engine submit followed by a
+    collect; the modes differ only in where the ticket is created.
 
     Args:
         session: the session to drive.  Setup (pipeline resets, report
@@ -497,8 +480,7 @@ class SessionStepper:
             session's own ``serving`` opt-in; the stepper never closes
             an engine it was handed.
         pipelined: submit reconstruction at ``begin`` and collect at
-            ``complete`` (requires ``engine``); off, decode happens
-            synchronously inside ``complete`` — the legacy order.
+            ``complete``; off, both happen inside ``complete``.
     """
 
     def __init__(
@@ -536,13 +518,13 @@ class SessionStepper:
         if engine is not None:
             self._engine, self._owns_engine = engine, False
         else:
-            self._engine, self._owns_engine = session._resolve_engine()
-        if self._engine is not None:
-            self._engine.reset_session(session.session_id)
-        if pipelined and self._engine is None:
-            raise PipelineError(
-                "pipelined stepping requires a serving engine"
+            from repro.serve.config import IN_PROCESS
+            from repro.serve.engine import resolve_engine
+
+            self._engine, self._owns_engine = resolve_engine(
+                session.serving, IN_PROCESS, registry=session.metrics
             )
+        self._engine.reset_session(session.session_id)
         self._pipelined = pipelined
         session.reports = []
         session.metrics.reset("session.")
@@ -582,13 +564,12 @@ class SessionStepper:
                 gateway's QoS ladder passes the fallback here to drop
                 a stream to keypoints->text without waiting for the
                 session's own hysteresis controller).  ``None`` keeps
-                the session's controller-driven choice — the legacy
-                behaviour.
+                the session's controller-driven choice.
             contain_infrastructure: treat a :class:`ServingError` from
                 the pool submit as this frame's failure (concealed at
                 ``complete``) instead of propagating — the gateway's
-                containment boundary.  Off by default so direct use
-                keeps legacy semantics.
+                containment boundary.  Off by default: direct use
+                sees the error.
         """
         if self._closed:
             raise PipelineError("stepper is closed")
@@ -688,36 +669,34 @@ class SessionStepper:
                 and not corrupted
                 and session.decode
             ):
-                received = EncodedFrame(
-                    frame_index=index,
-                    payload=bytes(received_payload),
-                    timing=encoded.timing,
-                    metadata=encoded.metadata,
-                )
                 with tracer.span("submit"):
                     try:
-                        pending.ticket = self._engine.submit(
-                            level_pipeline,
-                            received,
-                            session=session.session_id,
-                            sender="sender",
-                        )
+                        pending.ticket = self._submit(pending)
                     except ServingError as exc:
                         if not contain_infrastructure:
                             raise
                         pending.infrastructure_error = exc
                     except PipelineError:
                         pending.submit_failed = True
-            elif delivered and not corrupted and session.decode:
-                # Synchronous mode: defer the decode (and the received
-                # EncodedFrame construction) to complete_frame so the
-                # back-to-back step() path matches the legacy loop's
-                # operation order exactly.
-                pending.ticket = None
             return pending
         except BaseException:
             scope.close()
             raise
+
+    def _submit(self, pending: _PendingFrame):
+        """Hand the received payload of ``pending`` to the engine."""
+        received = EncodedFrame(
+            frame_index=pending.index,
+            payload=bytes(pending.received_payload),
+            timing=pending.encoded.timing,
+            metadata=pending.encoded.metadata,
+        )
+        return self._engine.submit(
+            pending.level_pipeline,
+            received,
+            session=self.session.session_id,
+            sender="sender",
+        )
 
     def complete_frame(
         self,
@@ -757,75 +736,30 @@ class SessionStepper:
                 and not pending.submit_failed
                 and not infra_failed
             ):
-                if self._pipelined:
-                    with tracer.span("decode"):
-                        try:
-                            decoded = self._engine.collect(
-                                pending.ticket
-                            )
-                        except ServingError as exc:
-                            if not contain_infrastructure:
-                                raise
-                            infra_failed = True
-                            pending.infrastructure_error = exc
-                        except PipelineError:
-                            decode_failed = True
-                        if decoded is not None:
-                            tracer.attach_worker_spans(
-                                decoded.metadata.get(
-                                    "worker_spans", ()
-                                )
-                            )
-                else:
-                    received = EncodedFrame(
-                        frame_index=index,
-                        payload=bytes(pending.received_payload),
-                        timing=pending.encoded.timing,
-                        metadata=pending.encoded.metadata,
-                    )
-                    with tracer.span("decode"):
-                        if self._engine is not None:
-                            # Serving path: worker death / timeout
-                            # raises a ServingError out of the session
-                            # (infrastructure failure, never masked as
-                            # a content failure) unless the caller
-                            # contains it, but the same content-level
-                            # failures the legacy branch conceals — a
-                            # delta whose reference was lost, decoded
-                            # inline or pooled — still freeze the
-                            # display instead of crashing the run.
-                            try:
-                                decoded = self._engine.decode(
-                                    level_pipeline,
-                                    received,
-                                    session=session.session_id,
-                                    sender="sender",
-                                )
-                            except ServingError as exc:
-                                if not contain_infrastructure:
-                                    raise
-                                infra_failed = True
-                                pending.infrastructure_error = exc
-                            except PipelineError:
-                                decode_failed = True
-                            if decoded is not None:
-                                tracer.attach_worker_spans(
-                                    decoded.metadata.get(
-                                        "worker_spans", ()
-                                    )
-                                )
-                        else:
-                            try:
-                                decoded = level_pipeline.decode(
-                                    received
-                                )
-                            except PipelineError:
-                                # A frame that arrived but cannot be
-                                # decoded (a delta whose reference was
-                                # lost) is displayed as a freeze, not
-                                # a crash; the sender's periodic
-                                # keyframes bound the outage.
-                                decode_failed = True
+                with tracer.span("decode"):
+                    # A ServingError is the infrastructure's (worker
+                    # death, job timeout, closed engine): it leaves the
+                    # session unless the caller contains it.  Any other
+                    # PipelineError is the content's — a delta whose
+                    # reference was lost — and freezes the display
+                    # instead of crashing the run; the sender's
+                    # periodic keyframes bound the outage.
+                    try:
+                        ticket = pending.ticket
+                        if ticket is None:
+                            ticket = self._submit(pending)
+                        decoded = self._engine.collect(ticket)
+                    except ServingError as exc:
+                        if not contain_infrastructure:
+                            raise
+                        infra_failed = True
+                        pending.infrastructure_error = exc
+                    except PipelineError:
+                        decode_failed = True
+                    if decoded is not None:
+                        tracer.attach_worker_spans(
+                            decoded.metadata.get("worker_spans", ())
+                        )
                 if decoded is not None:
                     session._add_receiver_stages(breakdown, decoded)
 
@@ -894,8 +828,8 @@ class SessionStepper:
             return report
 
     def step(self) -> FrameReport:
-        """Begin and complete the next frame back to back — the legacy
-        loop body."""
+        """Begin and complete the next frame back to back — the body
+        of :meth:`TelepresenceSession.run`."""
         return self.complete_frame(self.begin_frame())
 
     def shed_frame(self) -> FrameReport:
@@ -927,13 +861,7 @@ class SessionStepper:
                 if concealment is not None:
                     concealed = True
                     decoded = concealment
-            fresh = False
-            if session.decode:
-                self._stale_age = (
-                    0 if fresh else self._stale_age + 1
-                )
-            else:
-                self._stale_age += 1
+            self._stale_age += 1
             report = FrameReport(
                 frame_index=index,
                 payload_bytes=0,
@@ -958,7 +886,7 @@ class SessionStepper:
         if self._closed:
             return
         self._closed = True
-        if self._owns_engine and self._engine is not None:
+        if self._owns_engine:
             self._engine.close()
 
     def finish(self) -> SessionSummary:

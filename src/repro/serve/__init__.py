@@ -4,8 +4,9 @@ Turns the session layer from a single-threaded loop into a
 throughput-oriented executor: a process pool with sticky per-stream
 warm-start state and shared-memory mesh transfer
 (:mod:`repro.serve.pool`), a cross-session pose-bucketed mesh cache
-(:mod:`repro.serve.cache`), the engine gluing both behind an opt-in
-:class:`ServingConfig` (:mod:`repro.serve.engine`), and the gateway
+(:mod:`repro.serve.cache`), the engine every session decodes through,
+gluing both behind a :class:`ServingConfig` (:mod:`repro.serve.engine`),
+and the gateway
 multiplexing many sessions over one engine with admission control,
 QoS-ladder backpressure and failure containment
 (:mod:`repro.serve.gateway`, :mod:`repro.serve.admission`), and the

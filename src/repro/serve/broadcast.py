@@ -36,7 +36,7 @@ from repro.gaze.lod import GazeDepthBudget
 from repro.net.edge import EdgeServer
 from repro.net.link import NetworkLink
 from repro.serve.config import ServingConfig
-from repro.serve.engine import ServingEngine
+from repro.serve.engine import ServingEngine, resolve_engine
 
 __all__ = [
     "BroadcastReceiver",
@@ -289,24 +289,6 @@ class BroadcastSession:
 
     # -- engine plumbing -------------------------------------------
 
-    def _resolve_engine(self) -> ServingEngine:
-        if self._engine is not None:
-            return self._engine
-        serving = self._serving
-        if serving is None:
-            serving = ServingConfig(workers=0)
-        if isinstance(serving, ServingConfig):
-            self._engine = ServingEngine(serving)
-            self._owns_engine = True
-        elif isinstance(serving, ServingEngine):
-            self._engine = serving
-        else:
-            raise PipelineError(
-                "serving must be a ServingConfig or ServingEngine, "
-                f"got {type(serving).__name__}"
-            )
-        return self._engine
-
     @property
     def engine(self) -> Optional[ServingEngine]:
         return self._engine
@@ -384,7 +366,13 @@ class BroadcastSession:
         count = total - start if frames is None else frames
         if count < 0 or start < 0 or start + count > total:
             raise PipelineError("frame range out of bounds")
-        engine = self._resolve_engine()
+        if self._engine is None:
+            # The one-reconstruction-per-tier invariant needs the
+            # cache, so the private default keeps it on.
+            self._engine, self._owns_engine = resolve_engine(
+                self._serving, ServingConfig(workers=0)
+            )
+        engine = self._engine
         self._decisions = []
         self._sender.reset()
         for receiver in self.receivers:

@@ -1,11 +1,15 @@
 """Serving-engine configuration.
 
-A :class:`ServingConfig` is the single opt-in knob for the multi-core
-serving layer: sessions constructed without one run the legacy
-single-threaded loop, byte for byte.  With one, receiver-side mesh
-reconstruction is fanned across a :class:`repro.serve.pool.
-ReconstructionPool` and served through a :class:`repro.serve.cache.
-MeshCache` shared by every session on the edge node.
+A :class:`ServingConfig` describes one edge node's serving layer.
+Every session decodes through a :class:`repro.serve.engine.
+ServingEngine`: sessions and meetings built without a config get a
+private in-process engine (``workers=0``, no cache).  With one,
+receiver-side mesh reconstruction is fanned across a
+:class:`repro.serve.pool.ReconstructionPool` and served through a
+:class:`repro.serve.cache.MeshCache` shared by every session on the
+edge node.  Pool, cache and store tuning beyond these knobs (batching,
+quantisation bits, start method, per-stream backpressure) keeps the
+component defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 
 from repro.errors import PipelineError
 
-__all__ = ["ServingConfig"]
+__all__ = ["IN_PROCESS", "ServingConfig"]
 
 
 @dataclass(frozen=True)
@@ -25,41 +29,21 @@ class ServingConfig:
     Attributes:
         workers: reconstruction worker processes.  0 keeps every
             reconstruction in-process (deterministic single-core mode;
-            the cache still applies) — useful for tests and for
-            machines where process startup outweighs the win.
+            the cache still applies) — the default for sessions and
+            meetings built without a config, and for machines where
+            process startup outweighs the win.
         cache: serve repeated pose/shape/expression buckets from the
             edge-wide mesh cache instead of reconstructing again.
         cache_capacity: maximum cached meshes before LRU eviction.
-        cache_bits: quantisation bit depth of the cache bucket key
-            (see :class:`repro.serve.cache.MeshCache`).
         job_timeout: seconds to wait for one pooled reconstruction
             before declaring the worker wedged (typed failure, never a
             hang).
-        start_method: ``multiprocessing`` start method (``None`` =
-            platform default; Linux forks, which is what keeps worker
-            startup cheap enough to build a pool per session run).
-        coalesce: let workers batch compatible queued jobs of
-            different streams into one cross-stream kernel dispatch
-            (byte-identical output; see
-            :class:`repro.serve.pool.ReconstructionPool`).
-        coalesce_window: seconds a worker waits for additional
-            compatible jobs after receiving one (0 = batch only the
-            existing backlog, adding no latency).
-        max_batch: most jobs one coalesced dispatch may hold.
-        max_inflight_per_stream: most outstanding pool jobs one stream
-            may hold before submissions fail with a typed
-            :class:`repro.errors.BackpressureError` (``None`` =
-            unbounded legacy behaviour; see
-            :class:`repro.serve.pool.ReconstructionPool`).
         store: serve returning users from the persistent
             :class:`repro.avatar.AvatarStore` — one canonical mesh per
             identity, re-posed per frame by linear blend skinning with
-            zero field evaluations.  Off by default: the legacy path
-            stays byte-identical.
+            zero field evaluations.  Off by default.
         store_capacity: maximum identities before the store evicts
             (LRU; the evicted arena is unlinked).
-        store_bits: quantisation bit depth of the identity-key
-            buckets (shape + expression basis).
         store_tolerance: maximum sampled |SDF| (metres) a reposed
             mesh may show before the hit is refused and the frame is
             re-extracted (then republished).
@@ -74,73 +58,30 @@ class ServingConfig:
             boot when it exists (cross-restart persistence; saving is
             explicit via ``ServingEngine.save_store``).
 
-    Knob *combinations* are validated at construction — a config that
-    cannot mean what it says (a coalesce window with coalescing off,
-    an unknown start method) is refused with a clear error instead of
-    silently misbehaving at serve time.
+    Values are validated at construction; a store path without the
+    store is refused rather than silently ignored.
     """
 
     workers: int = 2
     cache: bool = True
     cache_capacity: int = 512
-    cache_bits: int = 12
     job_timeout: float = 300.0
-    start_method: Optional[str] = None
-    coalesce: bool = True
-    coalesce_window: float = 0.0
-    max_batch: int = 8
-    max_inflight_per_stream: Optional[int] = 64
     store: bool = False
     store_capacity: int = 256
-    store_bits: int = 12
     store_tolerance: float = 0.02
     store_check_every: int = 0
     store_max_pose_distance: float = 0.6
     store_path: Optional[str] = None
-
-    _START_METHODS = (None, "fork", "spawn", "forkserver")
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise PipelineError("workers must be >= 0")
         if self.cache_capacity < 1:
             raise PipelineError("cache_capacity must be >= 1")
-        if not 1 <= self.cache_bits <= 31:
-            raise PipelineError("cache_bits must be in [1, 31]")
         if self.job_timeout <= 0:
             raise PipelineError("job_timeout must be positive")
-        if self.coalesce_window < 0:
-            raise PipelineError("coalesce_window must be >= 0")
-        if self.max_batch < 1:
-            raise PipelineError("max_batch must be >= 1")
-        if self.coalesce_window > 0 and not self.coalesce:
-            raise PipelineError(
-                "coalesce_window > 0 has no effect with coalesce="
-                "False; enable coalescing or drop the window"
-            )
-        if self.coalesce_window > 0 and self.workers == 0:
-            raise PipelineError(
-                "coalesce_window > 0 has no effect with workers=0 "
-                "(in-process serving never batches); drop the window "
-                "or use a worker pool"
-            )
-        if self.start_method not in self._START_METHODS:
-            raise PipelineError(
-                f"unknown start_method {self.start_method!r}; expected "
-                "one of None, 'fork', 'spawn', 'forkserver'"
-            )
-        if (
-            self.max_inflight_per_stream is not None
-            and self.max_inflight_per_stream < 1
-        ):
-            raise PipelineError(
-                "max_inflight_per_stream must be >= 1 (or None for "
-                "unbounded)"
-            )
         if self.store_capacity < 1:
             raise PipelineError("store_capacity must be >= 1")
-        if not 1 <= self.store_bits <= 31:
-            raise PipelineError("store_bits must be in [1, 31]")
         if self.store_tolerance <= 0:
             raise PipelineError("store_tolerance must be positive")
         if self.store_check_every < 0:
@@ -156,3 +97,8 @@ class ServingConfig:
                 "store_path has no effect with store=False; enable "
                 "the avatar store or drop the path"
             )
+
+
+#: The private engine of a session or meeting built without a serving
+#: opt-in: in-process reconstruction, no cache.
+IN_PROCESS = ServingConfig(workers=0, cache=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.avatar.store import AvatarStore
 from repro.obs.clock import perf_counter
@@ -26,12 +26,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.core.pipeline import DecodedFrame, EncodedFrame, \
     HolographicPipeline
 from repro.core.timing import LatencyBreakdown
-from repro.errors import PipelineError
+from repro.errors import PipelineError, ServingError
 from repro.serve.cache import MeshCache
 from repro.serve.config import ServingConfig
 from repro.serve.pool import ReconstructionPool
 
-__all__ = ["DecodeTicket", "ServingStats", "ServingEngine"]
+__all__ = ["DecodeTicket", "ServingStats", "ServingEngine",
+           "resolve_engine"]
 
 _ticket_ids = itertools.count()
 
@@ -99,7 +100,6 @@ class ServingEngine:
         )
         self.cache = (
             MeshCache(capacity=config.cache_capacity,
-                      bits=config.cache_bits,
                       registry=self.metrics)
             if config.cache
             else None
@@ -108,12 +108,7 @@ class ServingEngine:
             ReconstructionPool(
                 workers=config.workers,
                 job_timeout=config.job_timeout,
-                start_method=config.start_method,
                 registry=self.metrics,
-                coalesce=config.coalesce,
-                coalesce_window=config.coalesce_window,
-                max_batch=config.max_batch,
-                max_inflight_per_stream=config.max_inflight_per_stream,
             )
             if config.workers >= 1
             else None
@@ -121,7 +116,6 @@ class ServingEngine:
         self.store = (
             AvatarStore(
                 capacity=config.store_capacity,
-                bits=config.store_bits,
                 tolerance=config.store_tolerance,
                 check_every=config.store_check_every,
                 max_pose_distance=config.store_max_pose_distance,
@@ -174,7 +168,7 @@ class ServingEngine:
         """Start decoding one frame; cheap for hits, asynchronous for
         pooled reconstructions, deferred for inline fallbacks."""
         if self._closed:
-            raise PipelineError("serving engine is closed")
+            raise ServingError("serving engine is closed")
         stream = self._stream_key(session, sender)
         ticket_id = next(_ticket_ids)
         if not self._offloadable(pipeline):
@@ -230,7 +224,7 @@ class ServingEngine:
         if self.store is not None:
             # A gaze depth budget shapes the *extraction* (foveated
             # octree detail); the canonical mesh is budget-free, so
-            # gaze-driven frames keep the legacy path rather than
+            # gaze-driven frames keep the extraction path rather than
             # serve full-detail geometry the budget asked to avoid.
             if getattr(reconstructor, "depth_budget", None) is None:
                 start = perf_counter()
@@ -615,3 +609,28 @@ class ServingEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def resolve_engine(
+    serving,
+    default: ServingConfig,
+    registry: Optional[MetricsRegistry] = None,
+) -> Tuple[ServingEngine, bool]:
+    """Turn a caller's serving opt-in into ``(engine, owns_engine)``.
+
+    ``serving`` is a shared :class:`ServingEngine` (used as is, never
+    owned), a :class:`ServingConfig` for a private engine, or ``None``
+    for a private engine built from the caller's ``default``.  A
+    private engine records into ``registry`` and is the caller's to
+    close.
+    """
+    if serving is None:
+        serving = default
+    if isinstance(serving, ServingConfig):
+        return ServingEngine(serving, registry=registry), True
+    if isinstance(serving, ServingEngine):
+        return serving, False
+    raise PipelineError(
+        "serving must be a ServingConfig or ServingEngine, got "
+        f"{type(serving).__name__}"
+    )

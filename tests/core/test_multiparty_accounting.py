@@ -3,8 +3,8 @@
 Real pipelines and links hide the arithmetic behind noise; these tests
 drive :class:`MultiPartySession` with fixed-cost fakes so delivered
 counts, latency sums and fan-out uplink math can be asserted exactly,
-and pin down that the default links and the serving-off loop are
-deterministic.
+and pin down that the default links and the default in-process
+engine are deterministic.
 """
 
 import zlib
@@ -102,7 +102,10 @@ class TestExactAccounting:
             ENCODE_S + LATENCY_S + DECODE_S
         )
         assert summary.interactive_fraction == 1.0
-        assert summary.serving == {}
+        # The default engine is private and in-process; the fake
+        # pipeline is not offloadable, so it decodes inline.
+        assert summary.serving["workers"] == 0
+        assert summary.serving["inline_decodes"] == 6
 
     def test_uplink_scales_with_fanout(self):
         """Uplink = wire bytes x (N-1) receivers x fps / duration."""
@@ -166,13 +169,15 @@ class TestServingOffDeterminism:
 
     def test_two_fresh_rosters_agree_bit_for_bit(self, talking_ds,
                                                  waving_ds):
-        """With serving off, the meeting is reproducible: every
-        deterministic summary field matches across two independently
-        built rosters (wall-clock latency fields are excluded)."""
+        """On the default in-process engine the meeting is
+        reproducible: every deterministic summary field matches across
+        two independently built rosters (wall-clock latency fields are
+        excluded)."""
         first = self._summary(talking_ds, waving_ds)
         second = self._summary(talking_ds, waving_ds)
         assert first.uplink_mbps == second.uplink_mbps
-        assert first.serving == second.serving == {}
+        assert first.serving == second.serving
+        assert first.serving["workers"] == 0
         for a, b in zip(first.pairs, second.pairs):
             assert (a.sender, a.receiver) == (b.sender, b.receiver)
             assert a.delivered == b.delivered

@@ -1,11 +1,14 @@
-"""Knob-combination validation for serving configuration.
+"""Validation of the serving configuration.
 
-Individual bounds were always checked; these tests pin the *cross-
-knob* rules added with the gateway: a config that cannot mean what it
-says (a coalesce window with coalescing off, a window with no worker
-pool to apply it, an unknown start method) is refused at construction
-with a clear error instead of silently misbehaving at serve time.
+A config that cannot mean what it says (a negative bound, a store path
+with the store off) is refused at construction with a clear error
+instead of silently misbehaving at serve time.  Pool, cache and store
+tuning that no caller sets (batching, quantisation bits, start method,
+per-stream backpressure) is not a serving knob: those components keep
+their own defaults and validate their own arguments.
 """
+
+import dataclasses
 
 import pytest
 
@@ -14,32 +17,12 @@ from repro.serve import ServingConfig
 
 
 class TestServingConfigCombinations:
-    def test_coalesce_window_requires_coalescing(self):
-        with pytest.raises(PipelineError, match="coalesce"):
-            ServingConfig(coalesce=False, coalesce_window=0.002)
-
-    def test_coalesce_window_requires_workers(self):
-        with pytest.raises(PipelineError, match="workers=0"):
-            ServingConfig(workers=0, coalesce_window=0.002)
-
-    def test_unknown_start_method(self):
-        with pytest.raises(PipelineError, match="start_method"):
-            ServingConfig(start_method="teleport")
-
-    def test_max_inflight_bound(self):
-        with pytest.raises(PipelineError, match="max_inflight"):
-            ServingConfig(max_inflight_per_stream=0)
-
     def test_valid_combinations_construct(self):
         # The combinations real call sites use must keep working.
         ServingConfig()
         ServingConfig(workers=0)
-        ServingConfig(workers=0, coalesce=False)
-        ServingConfig(coalesce=False, coalesce_window=0.0, max_batch=8)
-        ServingConfig(coalesce=True, coalesce_window=0.002, workers=2)
-        ServingConfig(start_method="spawn")
-        ServingConfig(max_inflight_per_stream=None)
-        ServingConfig(max_inflight_per_stream=1)
+        ServingConfig(workers=0, cache=False)
+        ServingConfig(workers=2, store=True, store_check_every=4)
 
     def test_individual_bounds_still_enforced(self):
         with pytest.raises(PipelineError):
@@ -47,8 +30,14 @@ class TestServingConfigCombinations:
         with pytest.raises(PipelineError):
             ServingConfig(cache_capacity=0)
         with pytest.raises(PipelineError):
-            ServingConfig(cache_bits=0)
-        with pytest.raises(PipelineError):
             ServingConfig(job_timeout=0.0)
-        with pytest.raises(PipelineError):
-            ServingConfig(max_batch=0)
+        with pytest.raises(PipelineError, match="store_path"):
+            ServingConfig(store_path="avatars.npz")
+
+    def test_component_tuning_is_not_a_serving_knob(self):
+        assert len(dataclasses.fields(ServingConfig)) == 10
+        for knob in ("coalesce", "coalesce_window", "max_batch",
+                     "start_method", "max_inflight_per_stream",
+                     "cache_bits", "store_bits"):
+            with pytest.raises(TypeError):
+                ServingConfig(**{knob: None})

@@ -1,9 +1,10 @@
-"""Serving smoke: pooled meetings reproduce the sequential loop.
+"""Serving smoke: pooled meetings reproduce the in-process engine.
 
-The CI serving job runs this module: a 3-participant meeting through a
-2-worker engine must produce the same deterministic summary fields as
-the legacy sequential loop, and a shared engine must start hitting its
-mesh cache when avatar states recur.
+Every meeting and session decodes through a serving engine; without a
+serving opt-in it is a private in-process one.  A 3-participant
+meeting through a 2-worker engine must produce the same deterministic
+summary fields as that default, and a shared engine must start hitting
+its mesh cache when avatar states recur.
 """
 
 import numpy as np
@@ -31,8 +32,8 @@ def _roster(talking_ds, waving_ds, count=3):
 
 
 def _deterministic_fields(summary):
-    """The summary fields that must be identical between the serving
-    and sequential loops (wall-clock latencies are not)."""
+    """The summary fields that must be identical between a pooled and
+    an in-process engine (wall-clock latencies are not)."""
     return {
         "pairs": [
             (p.sender, p.receiver, p.frames, p.delivered,
@@ -46,7 +47,7 @@ def _deterministic_fields(summary):
 class TestMeetingThroughPool:
     def test_three_party_meeting_matches_sequential(self, talking_ds,
                                                     waving_ds):
-        sequential = MultiPartySession(
+        in_process = MultiPartySession(
             _roster(talking_ds, waving_ds)
         ).run(frames=3)
         served = MultiPartySession(
@@ -55,8 +56,11 @@ class TestMeetingThroughPool:
         ).run(frames=3)
 
         assert _deterministic_fields(served) == \
-            _deterministic_fields(sequential)
-        assert sequential.serving == {}
+            _deterministic_fields(in_process)
+        assert in_process.serving["workers"] == 0
+        assert not in_process.serving["cache_enabled"]
+        assert in_process.serving["offloaded"] == 9
+        assert in_process.serving["reconstructions"] == 9
         assert served.serving["workers"] == 2
         assert served.serving["offloaded"] == 9  # 3 senders x 3 frames
         assert served.serving["reconstructions"] >= 1
@@ -65,7 +69,7 @@ class TestMeetingThroughPool:
 
     def test_shared_engine_caches_across_runs(self, talking_ds,
                                               waving_ds):
-        sequential = MultiPartySession(
+        in_process = MultiPartySession(
             _roster(talking_ds, waving_ds)
         ).run(frames=2)
         with ServingEngine(ServingConfig(workers=2)) as engine:
@@ -80,7 +84,7 @@ class TestMeetingThroughPool:
 
         for served in (first, second):
             assert _deterministic_fields(served) == \
-                _deterministic_fields(sequential)
+                _deterministic_fields(in_process)
         # The second meeting replays the same avatar states: the
         # cross-session cache must serve them without reconstructing.
         assert second.serving["cache_hits"] > \
@@ -90,7 +94,7 @@ class TestMeetingThroughPool:
             summary["offloaded"]
 
     def test_workers_zero_runs_in_process(self, talking_ds, waving_ds):
-        sequential = MultiPartySession(
+        in_process = MultiPartySession(
             _roster(talking_ds, waving_ds, 2)
         ).run(frames=2)
         served = MultiPartySession(
@@ -98,7 +102,7 @@ class TestMeetingThroughPool:
             serving=ServingConfig(workers=0),
         ).run(frames=2)
         assert _deterministic_fields(served) == \
-            _deterministic_fields(sequential)
+            _deterministic_fields(in_process)
         assert served.serving["workers"] == 0
         assert served.serving["reconstructions"] >= 1
 
@@ -185,7 +189,7 @@ class TestTelepresenceSession:
                     summary.delivery_rate,
                     summary.decode_failure_rate)
 
-        sequential = TelepresenceSession(
+        in_process = TelepresenceSession(
             talking_ds, KeypointSemanticPipeline(resolution=32)
         ).run(frames=3)
         served = TelepresenceSession(
@@ -193,7 +197,7 @@ class TestTelepresenceSession:
             KeypointSemanticPipeline(resolution=32),
             serving=ServingConfig(workers=2),
         ).run(frames=3)
-        assert fields(served) == fields(sequential)
+        assert fields(served) == fields(in_process)
 
     def test_worker_death_is_not_masked_as_decode_failure(
             self, talking_ds):
@@ -222,10 +226,10 @@ class TestTelepresenceSession:
 
     def test_inline_decode_failure_is_concealed_not_fatal(
             self, talking_ds, body_model):
-        """With serving enabled, a content-level decode failure on a
-        non-offloadable pipeline — a delta whose reference frame was
-        lost — must freeze the display exactly like the legacy loop,
-        not crash the run (only ServingError propagates)."""
+        """A content-level decode failure on a non-offloadable
+        pipeline — a delta whose reference frame was lost — freezes
+        the display instead of crashing the run (only ServingError
+        propagates), identically with or without the engine's cache."""
         from repro.core.text_pipeline import TextSemanticPipeline
 
         def build(serving):
@@ -243,20 +247,22 @@ class TestTelepresenceSession:
                 serving=serving,
             )
 
-        legacy = build(None)
-        legacy_summary = legacy.run(frames=10)
+        default = build(None)
+        default_summary = default.run(frames=10)
         served = build(ServingConfig(workers=0))
         served_summary = served.run(frames=10)
 
         # The scenario really exercises the failure path.
-        assert legacy_summary.decode_failure_rate > 0.0
+        assert default_summary.decode_failure_rate > 0.0
+        assert any(r.decode_failed and r.delivered
+                   for r in default.reports)
         # Identical accounting: same failures, same deliveries.
         assert served_summary.decode_failure_rate == \
-            legacy_summary.decode_failure_rate
+            default_summary.decode_failure_rate
         assert served_summary.delivery_rate == \
-            legacy_summary.delivery_rate
+            default_summary.delivery_rate
         assert [r.decode_failed for r in served.reports] == \
-            [r.decode_failed for r in legacy.reports]
+            [r.decode_failed for r in default.reports]
 
 
 class TestServingConfig:
@@ -266,8 +272,6 @@ class TestServingConfig:
         with pytest.raises(PipelineError):
             ServingConfig(cache_capacity=0)
         with pytest.raises(PipelineError):
-            ServingConfig(cache_bits=0)
-        with pytest.raises(PipelineError):
             ServingConfig(job_timeout=0.0)
 
     def test_closed_engine_refuses_decodes(self, talking_ds):
@@ -275,5 +279,45 @@ class TestServingConfig:
         encoded = pipe.encode(talking_ds.frame(0))
         engine = ServingEngine(ServingConfig(workers=0))
         engine.close()
-        with pytest.raises(PipelineError, match="closed"):
+        with pytest.raises(ServingError, match="closed"):
             engine.submit(pipe, encoded)
+
+
+class TestClosedEngine:
+    """A closed engine is an infrastructure failure: it raises a
+    :class:`ServingError` out of every run, never a decode failure the
+    session would conceal as corrupt content."""
+
+    @pytest.fixture()
+    def closed_engine(self):
+        engine = ServingEngine(ServingConfig(workers=0))
+        engine.close()
+        return engine
+
+    def test_session_run_raises(self, talking_ds, closed_engine):
+        session = TelepresenceSession(
+            talking_ds,
+            KeypointSemanticPipeline(resolution=32),
+            serving=closed_engine,
+        )
+        with pytest.raises(ServingError, match="closed"):
+            session.run(frames=4)
+        assert session.metrics.value("session.decode_failures") == 0
+
+    def test_pipelined_stepper_raises(self, talking_ds, closed_engine):
+        session = TelepresenceSession(
+            talking_ds, KeypointSemanticPipeline(resolution=32)
+        )
+        stepper = session.stepper(frames=4, engine=closed_engine,
+                                  pipelined=True)
+        with pytest.raises(ServingError, match="closed"):
+            stepper.begin_frame()
+        stepper.close()
+
+    def test_meeting_run_raises(self, talking_ds, waving_ds,
+                                closed_engine):
+        meeting = MultiPartySession(
+            _roster(talking_ds, waving_ds, 2), serving=closed_engine
+        )
+        with pytest.raises(ServingError, match="closed"):
+            meeting.run(frames=2)
