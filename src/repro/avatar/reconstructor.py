@@ -66,9 +66,10 @@ class ReconstructionResult:
         cells_refined: cells subdivided across all refinement levels.
         cells_skipped_gaze: straddling cells the gaze LOD budget
             stopped early (0 without a budget).
-        extract_spans: per-refinement-level timing records
-            (``extract_octree`` span kind) for trace attachment; pool
-            workers forward these with the result.
+        extract_spans: per-refinement-level timing records and one
+            polygonisation record (``extract_octree`` span kind) for
+            trace attachment; pool workers forward these with the
+            result.
     """
 
     mesh: TriangleMesh

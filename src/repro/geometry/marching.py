@@ -74,8 +74,10 @@ class ExtractionStats:
     cells_refined: int = 0
     #: straddling cells the gaze LOD policy stopped early.
     cells_skipped_gaze: int = 0
-    #: per-level timing records (name/start/end/depth/cells/evaluations
-    #: dicts) for ``extract_octree`` span reporting.
+    #: timing records for ``extract_octree`` span reporting: one
+    #: ``extract.level`` dict per refinement level (name/start/end/
+    #: depth/cells/evaluations), then one ``extract.polygonise`` dict
+    #: (name/start/end/cells/mixed, no depth) for the polygonisation.
     level_spans: list = field(default_factory=list)
 
 
@@ -119,19 +121,21 @@ class _QueryScratch:
     """Reusable buffers for the per-level corner queries.
 
     A coarse-to-fine extraction calls :func:`_evaluate_corners` once
-    per refinement level.  One scratch instance per extraction keeps
-    the query-point array and the dense gather volume, growing each to
-    exactly the largest request seen (per-level query counts are not
-    monotone, so doubling past a request would permanently
-    over-allocate) and reusing them for every other level.  Scratch
-    views hand out the *same memory*, so callers must consume a view
-    before requesting the next one — which the level-by-level cascade
-    does by construction.
+    per refinement level, and a mixed-depth one resolves its leaves on
+    a dense lattice at the end.  One scratch instance per extraction
+    keeps the query-point array, the dense float volume and a boolean
+    flag volume, growing each to exactly the largest request seen
+    (per-level query counts are not monotone, so doubling past a
+    request would permanently over-allocate) and reusing them for
+    every other level.  Scratch views hand out the *same memory*, so
+    callers must consume a view before requesting the next one — which
+    the level-by-level cascade does by construction.
     """
 
     def __init__(self) -> None:
         self._points = np.empty((0, 3))
         self._dense = np.empty(0)
+        self._flags = np.empty(0, dtype=bool)
 
     def points(self, n: int) -> np.ndarray:
         """An uninitialised (n, 3) float64 view."""
@@ -144,6 +148,12 @@ class _QueryScratch:
         if len(self._dense) < n:
             self._dense = np.empty(n)
         return self._dense[:n]
+
+    def flags(self, n: int) -> np.ndarray:
+        """An uninitialised (n,) bool view."""
+        if len(self._flags) < n:
+            self._flags = np.empty(n, dtype=bool)
+        return self._flags[:n]
 
 
 # Cube corner offsets, corner c = (x, y, z) bit pattern.

@@ -33,7 +33,7 @@ KIND_FRAME = "frame"    # one per trace: the frame's root
 KIND_WALL = "wall"      # measured wall-clock phase
 KIND_STAGE = "stage"    # exact stage cost from a LatencyBreakdown
 KIND_WORKER = "worker"  # forwarded from a pool worker process
-KIND_EXTRACT = "extract_octree"  # one octree refinement level
+KIND_EXTRACT = "extract_octree"  # an octree level or the polygonisation
 
 
 @dataclass

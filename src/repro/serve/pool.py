@@ -305,9 +305,9 @@ def _worker_main(
                     "batch_streams": ",".join(batch_streams),
                 },
             )
-        # Octree refinement-level spans recorded by the extractor;
-        # they already carry a "kind" override so the parent's tracer
-        # attributes time to individual levels.
+        # Octree refinement-level and polygonisation spans recorded by
+        # the extractor; they already carry a "kind" override so the
+        # parent's tracer attributes time to individual levels.
         for record in getattr(result, "extract_spans", ()):
             spans.append(
                 {

@@ -115,9 +115,19 @@ class TestGazeBudget:
         assert result.extract_spans
         for span in result.extract_spans:
             assert span["kind"] == KIND_EXTRACT
-            assert span["name"] == "extract.level"
             assert span["end"] >= span["start"]
+        *levels, polygonise = result.extract_spans
+        assert levels
+        for span in levels:
+            assert span["name"] == "extract.level"
             assert span["evaluations"] >= 0
+            assert "depth" in span
+        # Polygonisation closes the extraction with its own span and no
+        # depth, so per-depth sums skip it; the budget mixed depths.
+        assert polygonise["name"] == "extract.polygonise"
+        assert "depth" not in polygonise
+        assert polygonise["mixed"] is True
+        assert polygonise["cells"] > 0
 
 
 class TestTemporalPassthrough:

@@ -13,15 +13,30 @@ it), not only the straddling ones, which makes warm equal cold on
 coarse grids at the price of a wider seed band.  The C digests assume
 the kernel's default build (IEEE double arithmetic, no fused
 multiply-add contraction).
+
+:data:`FROZEN_MIXED` pins gaze-budgeted extractions, where leaves stop
+at different depths and the mixed-depth polygonisation resolves them on
+the finest lattice.  Those digests and evaluation counts (cold and warm
+frames alike) were recorded from the sort-based resolution, a
+first-occurrence ``np.unique`` over every leaf's expanded corner ids,
+before it was replaced by a scatter onto a dense lattice; the
+replacement must reproduce them bit for bit.  Regenerate with
+``PYTHONPATH=src python -m tests.geometry.frozen`` (set
+``REPRO_DISABLE_C_KERNEL=1`` for the NumPy digests).
 """
 
 from __future__ import annotations
 
 import hashlib
+import pprint
 
 import numpy as np
 
+from repro.avatar.reconstructor import KeypointMeshReconstructor
+from repro.body.motion import talking, waving, walking
+from repro.gaze.lod import GazeDepthBudget
 from repro.geometry.capsule_kernel import kernel_available
+from repro.serve.broadcast import gaze_tiers
 
 #: name -> ((C vertices, C faces), (NumPy vertices, NumPy faces),
 #: field evaluations or None)
@@ -237,6 +252,738 @@ FROZEN = {
     ),
 }
 
+#: Mixed-depth (gaze-budgeted) extractions, same layout as
+#: :data:`FROZEN`; see :func:`mixed_depth_runs` for the cases.
+FROZEN_MIXED = {
+    "gaze-perf-r128-talking-f0-cold": (
+        (
+            "6308640ccc2ff6a33e485e550e385dce",
+            "e5a67b7e0467515976d63ce8cd1e54ad",
+        ),
+        (
+            "64ac482371cb5fdc93fcd41ca02cba96",
+            "e5a67b7e0467515976d63ce8cd1e54ad",
+        ),
+        64159,
+    ),
+    "gaze-perf-r128-talking-f0-warm": (
+        (
+            "6308640ccc2ff6a33e485e550e385dce",
+            "e5a67b7e0467515976d63ce8cd1e54ad",
+        ),
+        (
+            "64ac482371cb5fdc93fcd41ca02cba96",
+            "e5a67b7e0467515976d63ce8cd1e54ad",
+        ),
+        64159,
+    ),
+    "gaze-perf-r128-talking-f1-cold": (
+        (
+            "20c922ce9417dc077c7a2be6d0e96917",
+            "e2cb9c1574ad5177622bd510e573e245",
+        ),
+        (
+            "36e6f87dc3117ed9ecf97df0efe79613",
+            "e2cb9c1574ad5177622bd510e573e245",
+        ),
+        63829,
+    ),
+    "gaze-perf-r128-talking-f1-warm": (
+        (
+            "20c922ce9417dc077c7a2be6d0e96917",
+            "e2cb9c1574ad5177622bd510e573e245",
+        ),
+        (
+            "36e6f87dc3117ed9ecf97df0efe79613",
+            "e2cb9c1574ad5177622bd510e573e245",
+        ),
+        46081,
+    ),
+    "gaze-perf-r128-talking-f2-cold": (
+        (
+            "2a662437b57f0cde55c6394baa8c9a3d",
+            "abccc9d19023afa3b9175badc458b678",
+        ),
+        (
+            "c3d012b9eef4b6e41743a944717bb6f6",
+            "abccc9d19023afa3b9175badc458b678",
+        ),
+        63801,
+    ),
+    "gaze-perf-r128-talking-f2-warm": (
+        (
+            "2a662437b57f0cde55c6394baa8c9a3d",
+            "abccc9d19023afa3b9175badc458b678",
+        ),
+        (
+            "c3d012b9eef4b6e41743a944717bb6f6",
+            "abccc9d19023afa3b9175badc458b678",
+        ),
+        46476,
+    ),
+    "gaze-perf-r256-talking-f0-cold": (
+        (
+            "067ce46164d285450d387d1758f8e90d",
+            "841f522eef8dd9d787d09caf62125f6a",
+        ),
+        (
+            "0e4aae39fc143a1adb1533076b20e919",
+            "841f522eef8dd9d787d09caf62125f6a",
+        ),
+        245593,
+    ),
+    "gaze-perf-r256-talking-f0-warm": (
+        (
+            "067ce46164d285450d387d1758f8e90d",
+            "841f522eef8dd9d787d09caf62125f6a",
+        ),
+        (
+            "0e4aae39fc143a1adb1533076b20e919",
+            "841f522eef8dd9d787d09caf62125f6a",
+        ),
+        245593,
+    ),
+    "gaze-perf-r256-talking-f1-cold": (
+        (
+            "6f66b18c96932c04a963bd8767787206",
+            "4421fb64be7c67f4373b8f1f2b994b93",
+        ),
+        (
+            "265e8578235e5d6e947affd266a10246",
+            "4421fb64be7c67f4373b8f1f2b994b93",
+        ),
+        245532,
+    ),
+    "gaze-perf-r256-talking-f1-warm": (
+        (
+            "6f66b18c96932c04a963bd8767787206",
+            "4421fb64be7c67f4373b8f1f2b994b93",
+        ),
+        (
+            "265e8578235e5d6e947affd266a10246",
+            "4421fb64be7c67f4373b8f1f2b994b93",
+        ),
+        169729,
+    ),
+    "gaze-perf-r256-talking-f2-cold": (
+        (
+            "8b46956b77e3939ecfd6bbad75ebf8ec",
+            "94d55d89cd703e8532a0514b5d44ee31",
+        ),
+        (
+            "19005d423816fe0a8989a3209a27acfd",
+            "94d55d89cd703e8532a0514b5d44ee31",
+        ),
+        245177,
+    ),
+    "gaze-perf-r256-talking-f2-warm": (
+        (
+            "8b46956b77e3939ecfd6bbad75ebf8ec",
+            "94d55d89cd703e8532a0514b5d44ee31",
+        ),
+        (
+            "19005d423816fe0a8989a3209a27acfd",
+            "94d55d89cd703e8532a0514b5d44ee31",
+        ),
+        170198,
+    ),
+    "gaze-perf-r64-talking-f0-cold": (
+        (
+            "13f25e41397e2c787421ae422c47ed3f",
+            "acc8cef51082240ba126ea4f6e3346f8",
+        ),
+        (
+            "0cfb95e734a0572fbce59e33482de5d5",
+            "acc8cef51082240ba126ea4f6e3346f8",
+        ),
+        18333,
+    ),
+    "gaze-perf-r64-talking-f0-warm": (
+        (
+            "13f25e41397e2c787421ae422c47ed3f",
+            "acc8cef51082240ba126ea4f6e3346f8",
+        ),
+        (
+            "0cfb95e734a0572fbce59e33482de5d5",
+            "acc8cef51082240ba126ea4f6e3346f8",
+        ),
+        18333,
+    ),
+    "gaze-perf-r64-talking-f1-cold": (
+        (
+            "7553f51fc41cd860683d38b9c190ba76",
+            "74297c426de51809cad51251bde05e1e",
+        ),
+        (
+            "7c16df4ca109f84c8fcaba2d90146906",
+            "74297c426de51809cad51251bde05e1e",
+        ),
+        18089,
+    ),
+    "gaze-perf-r64-talking-f1-warm": (
+        (
+            "7553f51fc41cd860683d38b9c190ba76",
+            "74297c426de51809cad51251bde05e1e",
+        ),
+        (
+            "7c16df4ca109f84c8fcaba2d90146906",
+            "74297c426de51809cad51251bde05e1e",
+        ),
+        11824,
+    ),
+    "gaze-perf-r64-talking-f2-cold": (
+        (
+            "a68507e88b8b82dd264d73e310c6b78d",
+            "4dad9d102ccbb58df3f675b78741ed58",
+        ),
+        (
+            "5938ea6101f238bf7f7a862e82b6b7a9",
+            "4dad9d102ccbb58df3f675b78741ed58",
+        ),
+        18043,
+    ),
+    "gaze-perf-r64-talking-f2-warm": (
+        (
+            "a68507e88b8b82dd264d73e310c6b78d",
+            "4dad9d102ccbb58df3f675b78741ed58",
+        ),
+        (
+            "5938ea6101f238bf7f7a862e82b6b7a9",
+            "4dad9d102ccbb58df3f675b78741ed58",
+        ),
+        12097,
+    ),
+    "gaze-tier1-r128-talking-f0-cold": (
+        (
+            "1f13603d56b934387e20b41dcfc2e9fe",
+            "64a9ef4d2ea35516bc9628b3734c9847",
+        ),
+        (
+            "511910e4de0904c7355700bc397a9ea7",
+            "64a9ef4d2ea35516bc9628b3734c9847",
+        ),
+        65554,
+    ),
+    "gaze-tier1-r128-talking-f0-warm": (
+        (
+            "1f13603d56b934387e20b41dcfc2e9fe",
+            "64a9ef4d2ea35516bc9628b3734c9847",
+        ),
+        (
+            "511910e4de0904c7355700bc397a9ea7",
+            "64a9ef4d2ea35516bc9628b3734c9847",
+        ),
+        65554,
+    ),
+    "gaze-tier1-r128-talking-f1-cold": (
+        (
+            "dd35657193f738689897850f460a1559",
+            "a3a5c7a37f817f1d3a3c24a6dea80e55",
+        ),
+        (
+            "49e1867acc50f2d6bba688470c53f95c",
+            "a3a5c7a37f817f1d3a3c24a6dea80e55",
+        ),
+        64972,
+    ),
+    "gaze-tier1-r128-talking-f1-warm": (
+        (
+            "dd35657193f738689897850f460a1559",
+            "a3a5c7a37f817f1d3a3c24a6dea80e55",
+        ),
+        (
+            "49e1867acc50f2d6bba688470c53f95c",
+            "a3a5c7a37f817f1d3a3c24a6dea80e55",
+        ),
+        36468,
+    ),
+    "gaze-tier1-r128-talking-f2-cold": (
+        (
+            "494f31da515d26f61f8bae8a4bd2f04f",
+            "9b43cf74121581b207fecc357002421e",
+        ),
+        (
+            "dc96d6b2093f397c59ea7bb3c1ef1442",
+            "9b43cf74121581b207fecc357002421e",
+        ),
+        64854,
+    ),
+    "gaze-tier1-r128-talking-f2-warm": (
+        (
+            "494f31da515d26f61f8bae8a4bd2f04f",
+            "9b43cf74121581b207fecc357002421e",
+        ),
+        (
+            "dc96d6b2093f397c59ea7bb3c1ef1442",
+            "9b43cf74121581b207fecc357002421e",
+        ),
+        36500,
+    ),
+    "gaze-tier1-r128-talking-f3-cold": (
+        (
+            "dcfedb12b534379251ea1c49f92cd27c",
+            "9040a55d2c51f700ac0abb7e9423fc49",
+        ),
+        (
+            "72d34da954825453635af082d3eff2b2",
+            "9040a55d2c51f700ac0abb7e9423fc49",
+        ),
+        64956,
+    ),
+    "gaze-tier1-r128-talking-f3-warm": (
+        (
+            "dcfedb12b534379251ea1c49f92cd27c",
+            "9040a55d2c51f700ac0abb7e9423fc49",
+        ),
+        (
+            "72d34da954825453635af082d3eff2b2",
+            "9040a55d2c51f700ac0abb7e9423fc49",
+        ),
+        36371,
+    ),
+    "gaze-tier1-r128-walking-f0-cold": (
+        (
+            "88909a44eb2b4f430b8436ce100d9dc9",
+            "de228d086f0ea3c06f207b1e01508bbb",
+        ),
+        (
+            "f99f0c092d27c6ec4a22bb6a7a9f1535",
+            "de228d086f0ea3c06f207b1e01508bbb",
+        ),
+        56248,
+    ),
+    "gaze-tier1-r128-walking-f0-warm": (
+        (
+            "88909a44eb2b4f430b8436ce100d9dc9",
+            "de228d086f0ea3c06f207b1e01508bbb",
+        ),
+        (
+            "f99f0c092d27c6ec4a22bb6a7a9f1535",
+            "de228d086f0ea3c06f207b1e01508bbb",
+        ),
+        56248,
+    ),
+    "gaze-tier1-r128-walking-f1-cold": (
+        (
+            "ad43db9983f7d86c30cb8b6b4baa986c",
+            "91d57c6f885ebb3fa48ff8a9fff0a8d9",
+        ),
+        (
+            "5362818de5471eeabdd99fe6a46843a2",
+            "91d57c6f885ebb3fa48ff8a9fff0a8d9",
+        ),
+        55980,
+    ),
+    "gaze-tier1-r128-walking-f1-warm": (
+        (
+            "ad43db9983f7d86c30cb8b6b4baa986c",
+            "91d57c6f885ebb3fa48ff8a9fff0a8d9",
+        ),
+        (
+            "5362818de5471eeabdd99fe6a46843a2",
+            "91d57c6f885ebb3fa48ff8a9fff0a8d9",
+        ),
+        55980,
+    ),
+    "gaze-tier1-r128-walking-f2-cold": (
+        (
+            "1fd7327f739aeee468e5ddb21c1f55df",
+            "9d20f92304526d06a5cde92f71c8aed2",
+        ),
+        (
+            "a40475cb1c069ff3ad3093a63c38c67d",
+            "9d20f92304526d06a5cde92f71c8aed2",
+        ),
+        55952,
+    ),
+    "gaze-tier1-r128-walking-f2-warm": (
+        (
+            "1fd7327f739aeee468e5ddb21c1f55df",
+            "9d20f92304526d06a5cde92f71c8aed2",
+        ),
+        (
+            "a40475cb1c069ff3ad3093a63c38c67d",
+            "9d20f92304526d06a5cde92f71c8aed2",
+        ),
+        55952,
+    ),
+    "gaze-tier1-r128-walking-f3-cold": (
+        (
+            "703b8be2574b5f4d1697b3d4456cc7d0",
+            "233fcdc48f3d73c2422aeed4ba82f74d",
+        ),
+        (
+            "a15cfdb401fa53640d63ecb5b12dc08d",
+            "233fcdc48f3d73c2422aeed4ba82f74d",
+        ),
+        56240,
+    ),
+    "gaze-tier1-r128-walking-f3-warm": (
+        (
+            "703b8be2574b5f4d1697b3d4456cc7d0",
+            "233fcdc48f3d73c2422aeed4ba82f74d",
+        ),
+        (
+            "a15cfdb401fa53640d63ecb5b12dc08d",
+            "233fcdc48f3d73c2422aeed4ba82f74d",
+        ),
+        56240,
+    ),
+    "gaze-tier1-r128-waving-f0-cold": (
+        (
+            "ae2997e0f7d741754695cc3ad94ea9bf",
+            "3a6f209cf6b3ac834db4f330403912c4",
+        ),
+        (
+            "2e0933c009c690dbe0c1f37656afd02a",
+            "3a6f209cf6b3ac834db4f330403912c4",
+        ),
+        56266,
+    ),
+    "gaze-tier1-r128-waving-f0-warm": (
+        (
+            "ae2997e0f7d741754695cc3ad94ea9bf",
+            "3a6f209cf6b3ac834db4f330403912c4",
+        ),
+        (
+            "2e0933c009c690dbe0c1f37656afd02a",
+            "3a6f209cf6b3ac834db4f330403912c4",
+        ),
+        56266,
+    ),
+    "gaze-tier1-r128-waving-f1-cold": (
+        (
+            "bc270c40d2df7a524639817f7e4dfe0e",
+            "ba8452daa51eb39ff91429a7e3de9b5b",
+        ),
+        (
+            "a32f43e2957a04baa27437ca80da4a0a",
+            "ba8452daa51eb39ff91429a7e3de9b5b",
+        ),
+        55854,
+    ),
+    "gaze-tier1-r128-waving-f1-warm": (
+        (
+            "bc270c40d2df7a524639817f7e4dfe0e",
+            "ba8452daa51eb39ff91429a7e3de9b5b",
+        ),
+        (
+            "a32f43e2957a04baa27437ca80da4a0a",
+            "ba8452daa51eb39ff91429a7e3de9b5b",
+        ),
+        55854,
+    ),
+    "gaze-tier1-r128-waving-f2-cold": (
+        (
+            "2571d649c6340ac7e5209bfccd6a36c7",
+            "5326998cc960a103e10dac50cefdf4e3",
+        ),
+        (
+            "e4d396a7343b96a0f4c38aa7e6596369",
+            "5326998cc960a103e10dac50cefdf4e3",
+        ),
+        55500,
+    ),
+    "gaze-tier1-r128-waving-f2-warm": (
+        (
+            "2571d649c6340ac7e5209bfccd6a36c7",
+            "5326998cc960a103e10dac50cefdf4e3",
+        ),
+        (
+            "e4d396a7343b96a0f4c38aa7e6596369",
+            "5326998cc960a103e10dac50cefdf4e3",
+        ),
+        55500,
+    ),
+    "gaze-tier1-r128-waving-f3-cold": (
+        (
+            "98495099abf1e09d591c2626e2689073",
+            "39f69971a0ff10f41ba276539ba3b309",
+        ),
+        (
+            "76582bf814cc3c5dfb1958112a4c56ea",
+            "39f69971a0ff10f41ba276539ba3b309",
+        ),
+        55252,
+    ),
+    "gaze-tier1-r128-waving-f3-warm": (
+        (
+            "98495099abf1e09d591c2626e2689073",
+            "39f69971a0ff10f41ba276539ba3b309",
+        ),
+        (
+            "76582bf814cc3c5dfb1958112a4c56ea",
+            "39f69971a0ff10f41ba276539ba3b309",
+        ),
+        55252,
+    ),
+    "gaze-tier2-r128-talking-f0-cold": (
+        (
+            "01725ba2fd7e5faa57bb712482e5a11d",
+            "539bf5ac8eaf35693b4ba00eaa92c205",
+        ),
+        (
+            "63c8b00375f4e8efdab04e491b43e026",
+            "539bf5ac8eaf35693b4ba00eaa92c205",
+        ),
+        51092,
+    ),
+    "gaze-tier2-r128-talking-f0-warm": (
+        (
+            "01725ba2fd7e5faa57bb712482e5a11d",
+            "539bf5ac8eaf35693b4ba00eaa92c205",
+        ),
+        (
+            "63c8b00375f4e8efdab04e491b43e026",
+            "539bf5ac8eaf35693b4ba00eaa92c205",
+        ),
+        51092,
+    ),
+    "gaze-tier2-r128-talking-f1-cold": (
+        (
+            "da6cdf657963980eb73f99b9ffe365a3",
+            "afd0183061d951166491f3850fe65c61",
+        ),
+        (
+            "b7e3f2f48a57bd7fc0a553261cc01e9c",
+            "afd0183061d951166491f3850fe65c61",
+        ),
+        50756,
+    ),
+    "gaze-tier2-r128-talking-f1-warm": (
+        (
+            "da6cdf657963980eb73f99b9ffe365a3",
+            "afd0183061d951166491f3850fe65c61",
+        ),
+        (
+            "b7e3f2f48a57bd7fc0a553261cc01e9c",
+            "afd0183061d951166491f3850fe65c61",
+        ),
+        32413,
+    ),
+    "gaze-tier2-r128-talking-f2-cold": (
+        (
+            "a1eb2450924f56c66d2f5e60031f7bf5",
+            "afd5f282b224340dc324f751c823c2ad",
+        ),
+        (
+            "afff9e1e63652eb2271e57c579673f9b",
+            "afd5f282b224340dc324f751c823c2ad",
+        ),
+        50654,
+    ),
+    "gaze-tier2-r128-talking-f2-warm": (
+        (
+            "a1eb2450924f56c66d2f5e60031f7bf5",
+            "afd5f282b224340dc324f751c823c2ad",
+        ),
+        (
+            "afff9e1e63652eb2271e57c579673f9b",
+            "afd5f282b224340dc324f751c823c2ad",
+        ),
+        32661,
+    ),
+    "gaze-tier2-r128-talking-f3-cold": (
+        (
+            "deda491b20b185d053f8b3d54ca1a2f7",
+            "306b5f3cd7cba643bdeb0bf3f671e16f",
+        ),
+        (
+            "604445716e41e37bd903ee879e02f77f",
+            "306b5f3cd7cba643bdeb0bf3f671e16f",
+        ),
+        50682,
+    ),
+    "gaze-tier2-r128-talking-f3-warm": (
+        (
+            "deda491b20b185d053f8b3d54ca1a2f7",
+            "306b5f3cd7cba643bdeb0bf3f671e16f",
+        ),
+        (
+            "604445716e41e37bd903ee879e02f77f",
+            "306b5f3cd7cba643bdeb0bf3f671e16f",
+        ),
+        32419,
+    ),
+    "gaze-tier2-r128-walking-f0-cold": (
+        (
+            "8a74924d0c51ab985cae4b17ae5135b6",
+            "41e2bd7f669517135bc4c7c08a54c3dd",
+        ),
+        (
+            "bb43458f4b4c290cf1f86fd9964cd587",
+            "41e2bd7f669517135bc4c7c08a54c3dd",
+        ),
+        44058,
+    ),
+    "gaze-tier2-r128-walking-f0-warm": (
+        (
+            "8a74924d0c51ab985cae4b17ae5135b6",
+            "41e2bd7f669517135bc4c7c08a54c3dd",
+        ),
+        (
+            "bb43458f4b4c290cf1f86fd9964cd587",
+            "41e2bd7f669517135bc4c7c08a54c3dd",
+        ),
+        44058,
+    ),
+    "gaze-tier2-r128-walking-f1-cold": (
+        (
+            "38436625c3f7516bcae21fa0410d8edd",
+            "5186afa67fca79b48d04c5d59ae648da",
+        ),
+        (
+            "dc8bfca89df5cc04c3298acb01269951",
+            "5186afa67fca79b48d04c5d59ae648da",
+        ),
+        43732,
+    ),
+    "gaze-tier2-r128-walking-f1-warm": (
+        (
+            "38436625c3f7516bcae21fa0410d8edd",
+            "5186afa67fca79b48d04c5d59ae648da",
+        ),
+        (
+            "dc8bfca89df5cc04c3298acb01269951",
+            "5186afa67fca79b48d04c5d59ae648da",
+        ),
+        43732,
+    ),
+    "gaze-tier2-r128-walking-f2-cold": (
+        (
+            "7b60da6076d8943e5b4c18bfe4704152",
+            "ad6ca6465066087e3080924cc485c62e",
+        ),
+        (
+            "a05ef012a5dac67bd79b56cadcdde89d",
+            "ad6ca6465066087e3080924cc485c62e",
+        ),
+        43864,
+    ),
+    "gaze-tier2-r128-walking-f2-warm": (
+        (
+            "7b60da6076d8943e5b4c18bfe4704152",
+            "ad6ca6465066087e3080924cc485c62e",
+        ),
+        (
+            "a05ef012a5dac67bd79b56cadcdde89d",
+            "ad6ca6465066087e3080924cc485c62e",
+        ),
+        43864,
+    ),
+    "gaze-tier2-r128-walking-f3-cold": (
+        (
+            "00dd3678a018d3f72fc69f70e7697bbe",
+            "4f29e076363afd683db2d9168b33ef8b",
+        ),
+        (
+            "2f088cf2694e927cb53c6c4af3547ceb",
+            "4f29e076363afd683db2d9168b33ef8b",
+        ),
+        44112,
+    ),
+    "gaze-tier2-r128-walking-f3-warm": (
+        (
+            "00dd3678a018d3f72fc69f70e7697bbe",
+            "4f29e076363afd683db2d9168b33ef8b",
+        ),
+        (
+            "2f088cf2694e927cb53c6c4af3547ceb",
+            "4f29e076363afd683db2d9168b33ef8b",
+        ),
+        44112,
+    ),
+    "gaze-tier2-r128-waving-f0-cold": (
+        (
+            "320741af9a5ff922c24f0a205598c2dc",
+            "4c9cc62731155e0494c8c638953b153c",
+        ),
+        (
+            "8a881b6531d605ba058a2609f3246a87",
+            "4c9cc62731155e0494c8c638953b153c",
+        ),
+        45752,
+    ),
+    "gaze-tier2-r128-waving-f0-warm": (
+        (
+            "320741af9a5ff922c24f0a205598c2dc",
+            "4c9cc62731155e0494c8c638953b153c",
+        ),
+        (
+            "8a881b6531d605ba058a2609f3246a87",
+            "4c9cc62731155e0494c8c638953b153c",
+        ),
+        45752,
+    ),
+    "gaze-tier2-r128-waving-f1-cold": (
+        (
+            "1f4be31c02163143022071ddff22faad",
+            "e04aa09b79c8a108cd822a6fa5849040",
+        ),
+        (
+            "a112a83796ff6fdd6cc81a3ef25f116d",
+            "e04aa09b79c8a108cd822a6fa5849040",
+        ),
+        45350,
+    ),
+    "gaze-tier2-r128-waving-f1-warm": (
+        (
+            "1f4be31c02163143022071ddff22faad",
+            "e04aa09b79c8a108cd822a6fa5849040",
+        ),
+        (
+            "a112a83796ff6fdd6cc81a3ef25f116d",
+            "e04aa09b79c8a108cd822a6fa5849040",
+        ),
+        45350,
+    ),
+    "gaze-tier2-r128-waving-f2-cold": (
+        (
+            "980b75e531d65065a81333d3f229edae",
+            "10ea31bb67f7a21a1531f0984c77f62c",
+        ),
+        (
+            "3e0c6aa2cee2a8cc0438baa50b95b9f5",
+            "10ea31bb67f7a21a1531f0984c77f62c",
+        ),
+        45040,
+    ),
+    "gaze-tier2-r128-waving-f2-warm": (
+        (
+            "980b75e531d65065a81333d3f229edae",
+            "10ea31bb67f7a21a1531f0984c77f62c",
+        ),
+        (
+            "3e0c6aa2cee2a8cc0438baa50b95b9f5",
+            "10ea31bb67f7a21a1531f0984c77f62c",
+        ),
+        45040,
+    ),
+    "gaze-tier2-r128-waving-f3-cold": (
+        (
+            "7752ec43ec7aafc7dcf33b0872cc9d6d",
+            "58f2f5f6246bb61047f9a5bec6492b83",
+        ),
+        (
+            "87f1957a678c09922e34341051d8a895",
+            "58f2f5f6246bb61047f9a5bec6492b83",
+        ),
+        44840,
+    ),
+    "gaze-tier2-r128-waving-f3-warm": (
+        (
+            "7752ec43ec7aafc7dcf33b0872cc9d6d",
+            "58f2f5f6246bb61047f9a5bec6492b83",
+        ),
+        (
+            "87f1957a678c09922e34341051d8a895",
+            "58f2f5f6246bb61047f9a5bec6492b83",
+        ),
+        44840,
+    ),
+}
+FROZEN.update(FROZEN_MIXED)
+
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(
@@ -262,3 +1009,79 @@ def assert_frozen(name, mesh, evaluations=None, backend=None) -> None:
             f"{name}: {evaluations} field evaluations, "
             f"frozen {frozen_evals}"
         )
+
+
+# --- mixed-depth (gaze-budgeted) extractions -------------------------
+
+#: Root grid of every mixed-depth case (the perf sweep's octree rows).
+MIXED_ROOT = 16
+
+
+def perf_gaze_budget() -> GazeDepthBudget:
+    """The reconstruction perf sweep's viewer: seated in front of the
+    body, a 12-degree cone on the head/chest, two levels dropped
+    everywhere else."""
+    return GazeDepthBudget(
+        eye=np.array([0.0, 1.4, 2.6]),
+        direction=np.array([0.0, -0.05, -1.0]),
+        cone_degrees=12.0,
+        peripheral_drop=2,
+    )
+
+
+def _mixed_depth_sequences() -> tuple:
+    """``(prefix, budget, resolution, motion, frames)`` per sequence:
+    the perf budget at r64/r128/r256 over talking frames 0-2, and the
+    broadcast's gaze tiers 1 and 2 at r128 over talking, waving and
+    walking frames 0-3, all on a root-16 octree."""
+    sequences = [
+        (f"gaze-perf-r{resolution}-talking", perf_gaze_budget(),
+         resolution, talking, 3)
+        for resolution in (64, 128, 256)
+    ]
+    tiers = gaze_tiers(3)
+    for tier in (1, 2):
+        for motion in (talking, waving, walking):
+            sequences.append(
+                (f"gaze-tier{tier}-r128-{motion.__name__}", tiers[tier],
+                 128, motion, 4)
+            )
+    return tuple(sequences)
+
+
+MIXED_SEQUENCES = _mixed_depth_sequences()
+
+
+def mixed_depth_runs(sequence):
+    """Yield ``(name, mesh, field_evaluations)`` per frame of one of
+    :data:`MIXED_SEQUENCES`, reconstructed cold (``warm_start=False``)
+    and warm (every frame after the first seeded from the previous
+    frame's leaves where the motion bound allows)."""
+    prefix, budget, resolution, motion, n_frames = sequence
+    frames = motion(n_frames=n_frames).frames
+    for mode in ("cold", "warm"):
+        rec = KeypointMeshReconstructor(
+            resolution=resolution,
+            octree_base=MIXED_ROOT,
+            warm_start=mode == "warm",
+        )
+        rec.set_depth_budget(budget)
+        for index, frame in enumerate(frames):
+            result = rec.reconstruct(pose=frame.pose)
+            yield (
+                f"{prefix}-f{index}-{mode}",
+                result.mesh,
+                result.field_evaluations,
+            )
+
+
+if __name__ == "__main__":
+    # Print fresh mixed-depth entries for the active kernel backend.
+    pprint.pprint(
+        {
+            name: ((_digest(mesh.vertices), _digest(mesh.faces)), evals)
+            for sequence in MIXED_SEQUENCES
+            for name, mesh, evals in mixed_depth_runs(sequence)
+        },
+        width=72,
+    )

@@ -30,7 +30,11 @@ from repro.geometry.octree import (
 )
 from repro.geometry.sdf import FusedCapsuleUnion, evaluate_packed
 from repro.gaze.lod import GazeDepthBudget
-from tests.geometry.frozen import assert_frozen
+from tests.geometry.frozen import (
+    MIXED_SEQUENCES,
+    assert_frozen,
+    mixed_depth_runs,
+)
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 
@@ -121,6 +125,19 @@ class TestUniformDepthBitIdentity:
         )
         assert_frozen("sphere-r64-iso0.1", octree, stats.field_evaluations)
         assert stats.field_evaluations == 65 ** 3
+
+
+class TestMixedDepthBitIdentity:
+    """Gaze-budgeted (mixed-depth) reconstructions reproduce the meshes
+    and evaluation counts of the sort-based mixed-depth resolution,
+    cold and warm, on the active kernel backend."""
+
+    @pytest.mark.parametrize(
+        "sequence", MIXED_SEQUENCES, ids=lambda seq: seq[0]
+    )
+    def test_mesh_and_evals_identical(self, sequence):
+        for name, mesh, evaluations in mixed_depth_runs(sequence):
+            assert_frozen(name, mesh, evaluations)
 
 
 class TestSurfaceError:

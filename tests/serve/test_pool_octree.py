@@ -63,10 +63,17 @@ class TestPooledOctree:
             s for s in result.spans if s.get("kind") == KIND_EXTRACT
         ]
         assert extract
+        names = [record["name"] for record in extract]
+        assert names[-1] == "extract.polygonise"
+        assert set(names[:-1]) == {"extract.level"}
         for record in extract:
-            assert record["name"] == "extract.level"
             assert record["worker"] == 0
-            assert "depth" in record and "evaluations" in record
+            if record["name"] == "extract.level":
+                assert "depth" in record and "evaluations" in record
+            else:
+                assert "depth" not in record
+                assert record["mixed"] is False
+                assert record["cells"] > 0
         tracer = Tracer()
         with tracer.frame(0):
             attached = tracer.attach_worker_spans(result.spans)
