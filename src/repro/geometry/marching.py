@@ -12,19 +12,28 @@ is built from: corner evaluation with deduplication, warm-start cell
 remapping, and polygonisation.
 
 We use marching *tetrahedra* (each cube split into 6 tets) rather than
-classic marching cubes: it needs no 256-entry case table, has no
-ambiguous configurations, and produces a watertight surface.  Triangle
-orientation is fixed numerically so normals point toward positive SDF.
+classic marching cubes: a tet's 4 corner signs select one of 16 cases
+(``_CASES``, 0–2 triangles each, derived by :func:`_tet_triangles`),
+there are no ambiguous configurations, and the surface is watertight.
+Triangle orientation is fixed numerically so normals point toward
+positive SDF.  :func:`_polygonise` runs the pass as one table-driven
+loop in the compiled kernel library
+(:mod:`repro.geometry.capsule_kernel`) — sign codes, faces counting-
+sorted by (tet, case, triangle), edge dedup by a stable radix sort —
+and falls back to the NumPy pass when no compiled library is loaded;
+both give the same vertex and face bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.capsule_kernel import compiled_capsule_kernel
 from repro.geometry.mesh import TriangleMesh
 
 __all__ = [
@@ -222,6 +231,17 @@ for _case in range(16):
     _inside = np.array([(_case >> _bit) & 1 for _bit in range(4)], dtype=bool)
     _CASES.append(_tet_triangles(_inside))
 
+# The compiled pass's tables, derived from the two above: each tet's
+# cube corners, and the cube corners (a, b) of every crossing edge per
+# (tet, case, triangle, edge), -1 where a case has fewer triangles.
+_TET_CORNERS = _CUBE_TETS.astype(np.int8)
+_TET_EDGES = np.full((6, 16, 2, 3, 2), -1, dtype=np.int8)
+for _tet, _corners in enumerate(_CUBE_TETS):
+    for _case, _tris in enumerate(_CASES):
+        for _k, _tri in enumerate(_tris):
+            for _e, _edge in enumerate(_tri):
+                _TET_EDGES[_tet, _case, _k, _e] = _corners[list(_edge)]
+
 
 def marching_tetrahedra(
     values: np.ndarray,
@@ -278,8 +298,11 @@ def dilate_cells(
     sorted by linear grid index.  ``resolution`` may be a scalar or a
     per-axis ``(3,)`` array — octree warm-start seeding clips against
     the grid of each refinement depth, which need not be the finest
-    (or even a cubic) grid.
+    (or even a cubic) grid.  A negative ``dilation`` raises
+    :class:`GeometryError`.
     """
+    if dilation < 0:
+        raise GeometryError(f"dilation must be >= 0, got {dilation}")
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
     resolution = np.broadcast_to(
         np.asarray(resolution, dtype=np.int64), (3,)
@@ -298,7 +321,7 @@ def dilate_cells(
     # One sweep per axis per iteration; composing the three axis sweeps
     # yields the full 3x3x3 neighbourhood, so ``dilation`` iterations
     # cover the L-inf ball of that radius.
-    for _ in range(max(dilation, 0)):
+    for _ in range(dilation):
         for axis in range(3):
             grown = volume.copy()
             ahead = [slice(None)] * 3
@@ -331,8 +354,11 @@ def remap_cells(
     lands more than ``dilation`` cells outside the destination grid,
     clipped, and finally grown by :func:`dilate_cells`.  The result is
     deduplicated and sorted by destination linear index; empty input
-    (or no survivor) maps to an empty ``(0, 3)`` array.
+    (or no survivor) maps to an empty ``(0, 3)`` array.  A negative
+    ``dilation`` raises :class:`GeometryError`.
     """
+    if dilation < 0:
+        raise GeometryError(f"dilation must be >= 0, got {dilation}")
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
     dst_resolution = np.broadcast_to(
         np.asarray(dst_resolution, dtype=np.int64), (3,)
@@ -465,9 +491,108 @@ def _polygonise(
     """Run marching tetrahedra over the given cells.
 
     ``cells`` are integer cell coordinates, ``corner_values`` their 8
-    corner samples, ``grid_shape`` the (virtual) corner-grid shape used
-    for global vertex deduplication.
+    float64 corner samples, ``grid_shape`` the (virtual) corner-grid
+    shape used for global vertex deduplication.  The compiled pass runs
+    when the kernel library provides it, :func:`_polygonise_numpy`
+    otherwise; both return the same vertex and face bytes.
     """
+    kernel = compiled_capsule_kernel()
+    if kernel is None or kernel.polygonise is None:
+        return _polygonise_numpy(
+            cells, corner_values, grid_shape, origin, spacing, iso
+        )
+    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    values = np.ascontiguousarray(corner_values, dtype=np.float64)
+    grid_shape = np.ascontiguousarray(grid_shape, dtype=np.int64)
+    origin = np.ascontiguousarray(
+        np.broadcast_to(np.asarray(origin, dtype=np.float64), (3,))
+    )
+    if (cells.shape != (len(cells), 3)
+            or values.shape != (len(cells), 8)
+            or grid_shape.shape != (3,)):
+        raise GeometryError(
+            "polygonise needs (M, 3) cells, (M, 8) corner values and a "
+            "(3,) grid shape"
+        )
+    corner_off, pair_code, pair_vecs = _edge_codes(
+        int(grid_shape[1]), int(grid_shape[2])
+    )
+    # A cube's 6 tets cross at most 19 distinct edges with 12 triangles.
+    vertices = np.empty((19 * len(cells), 3))
+    faces = np.empty((12 * len(cells), 3), dtype=np.int64)
+    counts = np.zeros(2, dtype=np.int64)
+    dbl = ctypes.POINTER(ctypes.c_double)
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    i32 = ctypes.POINTER(ctypes.c_int32)
+    i8 = ctypes.POINTER(ctypes.c_int8)
+    status = kernel.polygonise(
+        cells.ctypes.data_as(i64),
+        values.ctypes.data_as(dbl),
+        ctypes.c_int64(len(cells)),
+        grid_shape.ctypes.data_as(i64),
+        corner_off.ctypes.data_as(i64),
+        _TET_CORNERS.ctypes.data_as(i8),
+        _TET_EDGES.ctypes.data_as(i8),
+        pair_code.ctypes.data_as(i32),
+        pair_vecs.ctypes.data_as(dbl),
+        ctypes.c_int64(len(pair_vecs)),
+        origin.ctypes.data_as(dbl),
+        ctypes.c_double(spacing),
+        ctypes.c_double(iso),
+        vertices.ctypes.data_as(dbl),
+        faces.ctypes.data_as(i64),
+        counts.ctypes.data_as(i64),
+    )
+    if status == -1:
+        raise MemoryError("compiled polygonisation could not allocate")
+    if status == -2:
+        # Edge keys and entry indices overflow one 64-bit word.
+        return _polygonise_numpy(
+            cells, corner_values, grid_shape, origin, spacing, iso
+        )
+    # Shrink the buffers in place: nothing else refers to them.
+    vertices.resize((int(counts[0]), 3), refcheck=False)
+    faces.resize((int(counts[1]), 3), refcheck=False)
+    return TriangleMesh(vertices=vertices, faces=faces)
+
+
+def _edge_codes(gs1: int, gs2: int) -> tuple:
+    """The compiled pass's edge-key tables for a corner grid.
+
+    Returns the 8 cube corners' id offsets, the (8, 8) dedup code of
+    every corner pair and each code's direction vector, derived exactly
+    as :func:`_polygonise_numpy` derives them.
+    """
+    local_off = (
+        _CUBE_CORNERS[:, 0] * gs1 + _CUBE_CORNERS[:, 1]
+    ) * gs2 + _CUBE_CORNERS[:, 2]
+    pair_diffs = np.unique(np.abs(local_off[:, None] - local_off[None, :]))
+    pair_diffs = pair_diffs[pair_diffs > 0]
+    vec_by_off = {}
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                vec_by_off[(dx * gs1 + dy) * gs2 + dz] = (dx, dy, dz)
+    pair_vecs = np.array(
+        [vec_by_off[int(d)] for d in pair_diffs], dtype=np.float64
+    )
+    pair_code = np.searchsorted(
+        pair_diffs, np.abs(local_off[None, :] - local_off[:, None])
+    ).astype(np.int32)
+    return local_off, pair_code, pair_vecs
+
+
+def _polygonise_numpy(
+    cells: np.ndarray,
+    corner_values: np.ndarray,
+    grid_shape: np.ndarray,
+    origin: np.ndarray,
+    spacing: float,
+    iso: float,
+) -> TriangleMesh:
+    """:func:`_polygonise` in NumPy: the fallback when no compiled
+    kernel is available, and the reference the compiled pass must
+    reproduce bit for bit."""
     if len(cells) == 0:
         return TriangleMesh(
             vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=np.int64)

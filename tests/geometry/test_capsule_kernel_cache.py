@@ -4,14 +4,18 @@ The build (or the discovery that no toolchain exists) must run at most
 once per process: a failed build is cached with a one-line warning so
 the compiler is never retried per call, and ``REPRO_DISABLE_C_KERNEL``
 is consulted on every lookup so it is honored even after a successful
-earlier load.
+earlier load.  Libraries are cached by a digest of their source, also
+under ``REPRO_KERNEL_CACHE``, and a library built from source that
+predates the polygonisation entry point loads without it, leaving
+:func:`repro.geometry.marching._polygonise` on its NumPy pass.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 
-from repro.geometry import capsule_kernel
+from repro.geometry import capsule_kernel, marching
 from repro.geometry.capsule_kernel import (
     CapsuleKernel,
     compiled_capsule_kernel,
@@ -101,6 +105,66 @@ class TestDisableEnv:
 @needs_kernel
 class TestLoadedKernelShape:
     def test_both_entry_points_present(self):
+        """Every entry point: solo, batch and polygonise."""
         kernel = compiled_capsule_kernel()
         assert kernel.solo is not None
         assert kernel.batch is not None
+        assert kernel.polygonise is not None
+
+
+@pytest.fixture(scope="module")
+def stale_library(tmp_path_factory):
+    """``(cache, kernel)``: a library built in its own cache directory
+    from the source as it was before the polygonisation entry point."""
+    marker = "/* Marching tetrahedra over a cell list"
+    assert marker in capsule_kernel._SOURCE
+    cache = tmp_path_factory.mktemp("kernels")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        patch.setattr(
+            capsule_kernel, "_SOURCE",
+            capsule_kernel._SOURCE[:capsule_kernel._SOURCE.index(marker)],
+        )
+        kernel = capsule_kernel._build()
+    if kernel is None:
+        pytest.skip("no toolchain on this machine")
+    return cache, kernel
+
+
+def _sphere_cells():
+    """A sphere's cells on a 12^3 grid, with their corner values."""
+    axis = np.linspace(-1.0, 1.0, 13)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    field = np.linalg.norm(points, axis=-1) - 0.7
+    cells = np.argwhere(np.ones((12, 12, 12), dtype=bool))
+    return cells, marching._gather_corner_values(field, cells)
+
+
+@needs_kernel
+class TestStaleLibrary:
+    def test_sources_resolve_to_distinct_libraries(
+        self, stale_library, monkeypatch
+    ):
+        cache, stale = stale_library
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        current = capsule_kernel._build()
+        assert len(list(cache.glob("*/capsule_union.so"))) == 2
+        assert current.polygonise is not None
+        assert stale.polygonise is None
+
+    def test_missing_symbol_falls_back_bit_identically(
+        self, stale_library, monkeypatch
+    ):
+        _, stale = stale_library
+        assert stale.solo is not None and stale.batch is not None
+        cells, values = _sphere_cells()
+        args = (cells, values, np.array([13, 13, 13]),
+                np.array([-1.0, -1.0, -1.0]), 2.0 / 12, 0.0)
+        compiled = marching._polygonise(*args)
+        monkeypatch.setattr(
+            marching, "compiled_capsule_kernel", lambda: stale
+        )
+        fallback = marching._polygonise(*args)
+        assert compiled.num_faces > 0
+        assert fallback.vertices.tobytes() == compiled.vertices.tobytes()
+        assert fallback.faces.tobytes() == compiled.faces.tobytes()

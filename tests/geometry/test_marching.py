@@ -9,6 +9,7 @@ from repro.geometry.marching import (
     ExtractionStats,
     dilate_cells,
     marching_tetrahedra,
+    remap_cells,
 )
 from repro.geometry.octree import extract_surface, level_schedule
 from tests.geometry.frozen import assert_frozen
@@ -159,6 +160,18 @@ class TestDilateCells:
         out = dilate_cells(cells, 2, 20)
         linear = (out[:, 0] * 20 + out[:, 1]) * 20 + out[:, 2]
         assert np.all(np.diff(linear) > 0)
+
+    def test_negative_dilation_raises(self):
+        for cells in (
+            np.zeros((0, 3), dtype=np.int64),
+            np.array([[5, 5, 5]]),
+            np.array([[3, 4, 5], [1, 1, 1]]),
+        ):
+            with pytest.raises(GeometryError, match="dilation"):
+                dilate_cells(cells, -1, 16)
+            with pytest.raises(GeometryError, match="dilation"):
+                remap_cells(cells, np.zeros(3), 0.1, np.zeros(3), 0.1,
+                            16, dilation=-1)
 
 
 class TestSeededExtraction:
