@@ -26,6 +26,13 @@ class TriangleMesh:
         vertices: float64 array of shape (V, 3).
         faces: int64 array of shape (F, 3), indices into ``vertices``.
         vertex_colors: optional (V, 3) float64 in [0, 1].
+
+    A mesh served through :class:`repro.serve.cache.MeshCache` is
+    read-only: its arrays are shared by every receiver of the same
+    reconstruction and an in-place write raises ``ValueError``.
+    Reassigning an attribute only changes that one mesh object; a
+    caller that wants to edit the arrays calls :meth:`copy` (as
+    :meth:`transformed` and the texture paths do).
     """
 
     vertices: np.ndarray
@@ -67,6 +74,24 @@ class TriangleMesh:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
+
+    @classmethod
+    def from_validated(
+        cls,
+        vertices: np.ndarray,
+        faces: np.ndarray,
+        vertex_colors: Optional[np.ndarray] = None,
+    ) -> "TriangleMesh":
+        """A mesh over arrays taken from an already constructed mesh.
+
+        Nothing is copied and nothing is re-checked: the arrays passed
+        ``__post_init__`` when their mesh was built.
+        """
+        mesh = cls.__new__(cls)
+        mesh.vertices = vertices
+        mesh.faces = faces
+        mesh.vertex_colors = vertex_colors
+        return mesh
 
     def copy(self) -> "TriangleMesh":
         return TriangleMesh(

@@ -55,6 +55,15 @@ def _range_grid(low: float, high: float, bits: int) -> QuantizationGrid:
     )
 
 
+def _shared(entry: TriangleMesh) -> TriangleMesh:
+    """A new mesh object over a stored entry's read-only arrays, so
+    reassigning an attribute on one served mesh is not seen by the
+    next."""
+    return TriangleMesh.from_validated(
+        entry.vertices, entry.faces, entry.vertex_colors
+    )
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters (monotonic over the cache lifetime)."""
@@ -199,8 +208,11 @@ class MeshCache:
     def get(self, key: bytes) -> Optional[TriangleMesh]:
         """Look up a bucket; counts a hit or a miss.
 
-        Returns a *copy* so callers can mutate their mesh without
-        poisoning later hits.
+        A hit is a new read-only mesh object over the stored arrays:
+        nothing is copied, and every hit on one entry shares its
+        buffers.  An in-place write raises ``ValueError``, so callers
+        cannot poison later hits; one that wants to edit calls
+        ``.copy()``.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -210,30 +222,39 @@ class MeshCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         self.metrics.inc("serve.cache.hits")
-        return entry.copy()
+        return _shared(entry)
 
-    def put(self, key: bytes, mesh: TriangleMesh) -> None:
-        """Insert a reconstruction result, evicting LRU beyond capacity."""
+    def put(self, key: bytes, mesh: TriangleMesh) -> TriangleMesh:
+        """Insert a reconstruction result, evicting LRU beyond capacity.
+
+        The cache keeps one private read-only copy of ``mesh`` and
+        returns it the way :meth:`get` would, so the caller that paid
+        for the reconstruction shares its buffers with every later hit.
+        """
+        stored = mesh.copy()
+        for array in (stored.vertices, stored.faces, stored.vertex_colors):
+            if array is not None:
+                array.flags.writeable = False
         if key in self._entries:
             self._entries.move_to_end(key)
-            self._entries[key] = mesh.copy()
-            self._gauges()
-            return
-        self._entries[key] = mesh.copy()
-        self._inserted[key] = monotonic()
-        self.stats.inserts += 1
-        self.metrics.inc("serve.cache.inserts")
-        while len(self._entries) > self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
-            born = self._inserted.pop(evicted, None)
-            if born is not None:
-                self.metrics.observe(
-                    "serve.cache.eviction_age", monotonic() - born
-                )
-            self.stats.evictions += 1
-            self.metrics.inc("serve.cache.evictions")
-        self.metrics.set("serve.cache.size", len(self._entries))
+            self._entries[key] = stored
+        else:
+            self._entries[key] = stored
+            self._inserted[key] = monotonic()
+            self.stats.inserts += 1
+            self.metrics.inc("serve.cache.inserts")
+            while len(self._entries) > self.capacity:
+                evicted, _ = self._entries.popitem(last=False)
+                born = self._inserted.pop(evicted, None)
+                if born is not None:
+                    self.metrics.observe(
+                        "serve.cache.eviction_age", monotonic() - born
+                    )
+                self.stats.evictions += 1
+                self.metrics.inc("serve.cache.evictions")
+            self.metrics.set("serve.cache.size", len(self._entries))
         self._gauges()
+        return _shared(stored)
 
     @property
     def bytes_held(self) -> int:

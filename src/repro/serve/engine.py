@@ -359,7 +359,7 @@ class ServingEngine:
                 worker_spans=result.spans,
             )
             if self.cache is not None and ticket.key is not None:
-                self.cache.put(ticket.key, mesh)
+                mesh = self.cache.put(ticket.key, mesh)
         else:  # "local": in-process, per-stream warm-start state
             reconstructor = self._local_reconstructor(
                 ticket.stream, pipeline
@@ -379,7 +379,7 @@ class ServingEngine:
                 cache_hit=False,
             )
             if self.cache is not None and ticket.key is not None:
-                self.cache.put(ticket.key, mesh)
+                mesh = self.cache.put(ticket.key, mesh)
         if (
             self.store is not None
             and ticket.store_key is not None
@@ -484,7 +484,7 @@ class ServingEngine:
             store_hit=True,
         )
         if self.cache is not None and ticket.key is not None:
-            self.cache.put(ticket.key, mesh)
+            mesh = self.cache.put(ticket.key, mesh)
         return mesh
 
     def _note_store_outcome(self, stream: str, hit: bool) -> None:

@@ -86,11 +86,23 @@ class TestKeypointMeshReconstructor:
 
     def test_fps_decreases_with_resolution(self):
         pose = BodyPose.identity()
-        fast = KeypointMeshReconstructor(resolution=48).reconstruct(
-            pose
-        )
-        slow = KeypointMeshReconstructor(resolution=128).reconstruct(
-            pose
+        # The first reconstruct in a process pays one-time costs
+        # (kernel load, template build); keep them out of the timings.
+        KeypointMeshReconstructor(resolution=48).reconstruct(pose)
+        # r48 evaluates its whole grid, so it costs only ~10% less
+        # than r128: time both cold, alternating so each sees the same
+        # host load, and keep each resolution's fastest of five.
+        runs = {48: [], 128: []}
+        for _ in range(5):
+            for resolution, results in runs.items():
+                results.append(
+                    KeypointMeshReconstructor(
+                        resolution=resolution
+                    ).reconstruct(pose)
+                )
+        fast, slow = (
+            min(results, key=lambda result: result.seconds)
+            for results in runs.values()
         )
         assert slow.seconds > fast.seconds
         assert slow.fps < fast.fps

@@ -9,6 +9,7 @@ the run is byte-reproducible under a fake clock.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.body.model import BodyModel
@@ -115,6 +116,63 @@ class TestExactCounting:
                     counts[(n, tiers)] = bc.run().reconstructions
         assert counts[(8, 2)] == counts[(16, 2)] == 2 * 3
         assert counts[(8, 4)] == 4 * 3
+
+
+class TestSharedSurfaces:
+    @staticmethod
+    def _surfaces(dataset, engine, n, tiers):
+        """Run a broadcast on ``engine`` and return every decoded
+        surface keyed by (frame, receiver)."""
+        surfaces = {}
+        decode = engine.decode
+
+        def recording(pipeline, encoded, session, sender):
+            decoded = decode(
+                pipeline, encoded, session=session, sender=sender
+            )
+            surfaces[(encoded.frame_index, session)] = decoded.surface
+            return decoded
+
+        engine.decode = recording
+        with use_clock(FakeClock()):
+            BroadcastSession(
+                dataset,
+                _audience(n, tiers),
+                tiers=tiers,
+                resolution=16,
+                octree_base=8,
+                serving=engine,
+            ).run()
+        return surfaces
+
+    def test_tier_receivers_share_one_read_only_buffer(self, dataset):
+        """Every receiver of one (frame, tier) gets a surface over the
+        same buffer, byte-identical to a cache-free decode."""
+        n, tiers = 9, 3
+        with ServingEngine(ServingConfig(workers=0)) as engine:
+            shared = self._surfaces(dataset, engine, n, tiers)
+        with ServingEngine(
+            ServingConfig(workers=0, cache=False)
+        ) as engine:
+            cold = self._surfaces(dataset, engine, n, tiers)
+        assert shared.keys() == cold.keys()
+        assert len(shared) == 3 * n
+        for (frame, name), surface in shared.items():
+            tier = int(name[1:]) % tiers
+            leader = shared[(frame, f"r{tier:03d}")]
+            assert np.shares_memory(surface.vertices, leader.vertices)
+            assert np.shares_memory(surface.faces, leader.faces)
+            assert not surface.vertices.flags.writeable
+            assert not surface.faces.flags.writeable
+            reference = cold[(frame, name)]
+            assert surface.vertices.tobytes() == (
+                reference.vertices.tobytes()
+            )
+            assert surface.faces.tobytes() == reference.faces.tobytes()
+        # Tiers are distinct reconstructions, not one shared buffer.
+        assert not np.shares_memory(
+            shared[(0, "r000")].vertices, shared[(0, "r001")].vertices
+        )
 
 
 class TestDeterminism:

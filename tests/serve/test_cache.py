@@ -163,14 +163,48 @@ class TestLRU:
         assert cache.get(keys[0]) is not None
         assert cache.get(keys[1]) is None
 
-    def test_hits_return_copies(self):
+    def test_hits_cannot_poison_later_hits(self):
         cache = MeshCache(capacity=2)
         key = _key(cache, BodyPose.identity())
-        cache.put(key, _mesh(1.0))
+        mesh = _mesh(1.0)
+        mesh.vertex_colors = np.full((3, 3), 0.5)
+        cache.put(key, mesh)
         first = cache.get(key)
-        first.vertices[:] = -99.0
+        # In-place writes are refused, not silently absorbed.
+        for array in (first.vertices, first.faces, first.vertex_colors):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        # An explicit copy is writable and private.
+        edited = first.copy()
+        edited.vertices[:] = -99.0
+        edited.vertex_colors[:] = 0.0
+        # Reassigning an attribute changes that one hit object only.
+        first.vertex_colors = np.zeros((3, 3))
+        first.vertices = np.zeros((3, 3))
         second = cache.get(key)
         assert float(second.vertices[0, 0]) == 1.0
+        assert float(second.vertex_colors[0, 0]) == 0.5
+        # Hits share the stored buffers: no per-hit copy.
+        third = cache.get(key)
+        assert second is not third
+        for name in ("vertices", "faces", "vertex_colors"):
+            assert np.shares_memory(
+                getattr(second, name), getattr(third, name)
+            )
+
+    def test_put_returns_the_shared_read_only_mesh(self):
+        cache = MeshCache(capacity=2)
+        key = _key(cache, BodyPose.identity())
+        mesh = _mesh(1.0)
+        served = cache.put(key, mesh)
+        # The cache keeps a private copy: the caller's mesh stays
+        # writable and later edits to it do not reach the cache.
+        assert not np.shares_memory(served.vertices, mesh.vertices)
+        mesh.vertices[:] = -99.0
+        assert not served.vertices.flags.writeable
+        hit = cache.get(key)
+        assert np.shares_memory(served.vertices, hit.vertices)
+        assert float(hit.vertices[0, 0]) == 1.0
 
     def test_reinsert_updates_without_new_insert(self):
         cache = MeshCache(capacity=2)
