@@ -5,12 +5,14 @@ mesh out, at a configurable voxel resolution (the paper's 128 / 256 /
 512 / 1024 knob).  Reconstruction cost grows steeply with resolution —
 this is the code whose FPS Figure 4 plots.
 
-Two optimisations keep the hot path fast without changing its output:
-the implicit field is evaluated through the fused capsule kernel
-(:class:`repro.geometry.sdf.FusedCapsuleUnion`), and consecutive frames
-of a motion sequence warm-start surface extraction from the previous
-frame's leaf set dilated by the inter-frame motion bound, so static
-body regions skip the coarse-to-fine refinement entirely.
+Three optimisations keep the hot path fast without changing its
+output: the implicit field is evaluated through the fused capsule
+kernel (:class:`repro.geometry.sdf.FusedCapsuleUnion`); consecutive
+frames of a motion sequence warm-start surface extraction from the
+previous frame's leaf set dilated by the inter-frame motion bound, so
+static body regions skip the coarse-to-fine refinement entirely; and a
+frame already refined under a finer gaze budget is polygonised from
+that refinement's record without evaluating the field again.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.geometry.mesh import TriangleMesh
 # Both names of the one extractor stay bound here: perfbench's layer
 # probe times extraction by patching them on this module.
 from repro.geometry.octree import (  # noqa: F401
+    OctreeRefinement,
+    derive_surface,
     extract_surface,
     extract_surface_octree,
     warm_seeds,
@@ -70,6 +74,12 @@ class ReconstructionResult:
             polygonisation record (``extract_octree`` span kind) for
             trace attachment; pool workers forward these with the
             result.
+        derived: whether the mesh was polygonised from a given
+            refinement record instead of refining the field.
+        refinement: the frame's refinement record when the caller asked
+            to keep it (``keep_refinement``); None otherwise and for a
+            derived frame.  It holds every evaluated cell's corner
+            values, so callers should not keep results that carry it.
     """
 
     mesh: TriangleMesh
@@ -80,6 +90,8 @@ class ReconstructionResult:
     cells_refined: int = 0
     cells_skipped_gaze: int = 0
     extract_spans: tuple = ()
+    derived: bool = False
+    refinement: Optional[OctreeRefinement] = None
 
     @property
     def fps(self) -> float:
@@ -187,6 +199,8 @@ class KeypointMeshReconstructor:
         pose: Optional[BodyPose] = None,
         shape: Optional[ShapeParams] = None,
         expression: Optional[ExpressionParams] = None,
+        refinement: Optional[OctreeRefinement] = None,
+        keep_refinement: bool = False,
     ) -> ReconstructionResult:
         """Reconstruct one frame from transmitted parameters.
 
@@ -195,6 +209,16 @@ class KeypointMeshReconstructor:
             shape: transmitted shape (neutral if omitted).
             expression: transmitted expression coefficients; only the
                 first ``expression_channels`` are used.
+            refinement: another reconstruction's refinement record
+                of this very frame — the same transmitted parameters
+                and configuration, the caller's guarantee.  The frame's
+                leaves are selected from it and polygonised, with no
+                field evaluation; a record that cannot serve this
+                reconstructor's budget (see :func:`repro.geometry.
+                octree.select_leaves`) falls back to a normal
+                extraction.
+            keep_refinement: attach the refinement record this frame
+                ran to the result, for later frames to derive from.
         """
         start = perf_counter()
         usable_expression = None
@@ -218,40 +242,57 @@ class KeypointMeshReconstructor:
             ).copy()
         )
 
-        fld_eval = (
-            fld if self.field_hook is None else self.field_hook(fld)
-        )
         stats = ExtractionStats()
-        seed_leaves = (
-            self._seed_leaves(lo, hi, anchors, expr_key)
-            if self.warm_start
-            else None
-        )
-        mesh = extract_surface_octree(
-            fld_eval,
-            (lo, hi),
-            self.resolution,
-            base_resolution=self.octree_base,
-            budget=self.depth_budget,
-            seed_leaves=seed_leaves,
-            stats=stats,
-        )
-        evaluations = stats.field_evaluations
-        warm = stats.warm_started
-        if warm and mesh.num_faces == 0:
-            # The seed missed the surface (should not happen within the
-            # dilation bound, but never trade a frame for the shortcut).
-            stats = ExtractionStats()
-            mesh = extract_surface_octree(
-                fld_eval,
+        mesh = None
+        if refinement is not None:
+            mesh = derive_surface(
+                refinement,
                 (lo, hi),
                 self.resolution,
                 base_resolution=self.octree_base,
                 budget=self.depth_budget,
                 stats=stats,
             )
-            evaluations += stats.field_evaluations
-            warm = False
+        derived = mesh is not None
+        evaluations = 0
+        warm = False
+        if not derived:
+            fld_eval = (
+                fld if self.field_hook is None else self.field_hook(fld)
+            )
+            seed_leaves = (
+                self._seed_leaves(lo, hi, anchors, expr_key)
+                if self.warm_start
+                else None
+            )
+            mesh = extract_surface_octree(
+                fld_eval,
+                (lo, hi),
+                self.resolution,
+                base_resolution=self.octree_base,
+                budget=self.depth_budget,
+                seed_leaves=seed_leaves,
+                stats=stats,
+            )
+            evaluations = stats.field_evaluations
+            warm = stats.warm_started
+            if warm and mesh.num_faces == 0:
+                # The seed missed the surface (should not happen within
+                # the dilation bound, but never trade a frame for the
+                # shortcut).
+                stats = ExtractionStats()
+                mesh = extract_surface_octree(
+                    fld_eval,
+                    (lo, hi),
+                    self.resolution,
+                    base_resolution=self.octree_base,
+                    budget=self.depth_budget,
+                    stats=stats,
+                )
+                evaluations += stats.field_evaluations
+                warm = False
+        # The warm-start state keeps the leaf set, not the record.
+        kept, stats.refinement = stats.refinement, None
         seconds = perf_counter() - start
         if mesh.num_faces == 0:
             raise PipelineError(
@@ -289,6 +330,8 @@ class KeypointMeshReconstructor:
             cells_refined=stats.cells_refined,
             cells_skipped_gaze=stats.cells_skipped_gaze,
             extract_spans=extract_spans,
+            derived=derived,
+            refinement=kept if keep_refinement else None,
         )
 
     @staticmethod

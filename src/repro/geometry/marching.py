@@ -88,6 +88,10 @@ class ExtractionStats:
     #: depth/cells/evaluations), then one ``extract.polygonise`` dict
     #: (name/start/end/cells/mixed, no depth) for the polygonisation.
     level_spans: list = field(default_factory=list)
+    #: the extraction's :class:`repro.geometry.octree.OctreeRefinement`
+    #: record (None after :func:`repro.geometry.octree.derive_surface`,
+    #: which refines nothing).
+    refinement: Optional[object] = None
 
 
 class _CountingSDF:

@@ -15,6 +15,15 @@ the resolution itself up to 64 (one dense pass over the whole grid),
 pass with the previous frame's leaves mapped into this frame's grids,
 so a slowly moving body re-evaluates only a band around its surface.
 
+Extraction runs in three steps: a refinement pass that evaluates each
+depth and records what it evaluated (:class:`OctreeRefinement`), a leaf
+selection per depth budget (one stop rule, :func:`_stop_rule`, for the
+pass's own budget and for :func:`select_leaves`), and polygonisation.
+A budget that never refines a cell the record's budget did not sees,
+at every depth, a subset of the recorded cells with the same corner
+values, so :func:`derive_surface` extracts a coarser gaze tier's
+surface from a finer tier's cold record without evaluating the field.
+
 Per refinement level all corner queries are gathered into a single
 flush routed through :func:`repro.geometry.sdf.evaluate_packed`, so a
 C-backed fused field sees one ragged-batch kernel call per level (not
@@ -44,6 +53,7 @@ polygonised directly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,9 +76,13 @@ from repro.geometry.sdf import evaluate_packed
 from repro.obs.clock import perf_counter
 
 __all__ = [
+    "LeafSelection",
+    "OctreeRefinement",
+    "derive_surface",
     "extract_surface",
     "extract_surface_octree",
     "level_schedule",
+    "select_leaves",
     "warm_seeds",
 ]
 
@@ -118,6 +132,62 @@ _SUB_PERM = (0, 4, 3, 7, 1, 5, 2, 6)
 _RASTER = tuple(np.ndindex(2, 2, 2))
 
 
+@dataclass
+class LeafSelection:
+    """One depth budget's leaves over a refinement.
+
+    Attributes:
+        leaves: ``(depth, cells, corner_values, straddling, seedable)``
+            per group of leaves that stop at one depth, coarse-first.
+        cells_refined: cells the budget subdivided, over all depths.
+        cells_skipped_gaze: straddling cells the budget stopped early.
+        level_spans: one ``extract.level`` record per depth visited.
+    """
+
+    leaves: list
+    cells_refined: int
+    cells_skipped_gaze: int
+    level_spans: list
+
+
+@dataclass
+class OctreeRefinement:
+    """What one refinement pass evaluated, depth by depth.
+
+    :func:`extract_surface_octree` leaves it on ``stats.refinement``;
+    :func:`derive_surface` extracts another budget's surface from it
+    without evaluating the field.
+
+    Attributes:
+        origin: world position of grid corner (0, 0, 0).
+        extent: edge length of the cubified sampling box.
+        resolution: cells per axis at the deepest level.
+        levels: cells per axis at each depth.
+        iso: iso value.
+        warm: whether the pass began from warm-start seeds instead of
+            the dense root pass.
+        frontiers: per depth, ``(cells, corner_values, straddling,
+            active, seedable, refined)``: the cells evaluated there,
+            their 8 corner values, their :func:`_classify` flags, and
+            the mask of those the pass subdivided; ``None`` where it
+            evaluated nothing.  In a cold pass the next depth's cells
+            are the children of the refined cells, 8 per parent in
+            ``_CUBE_CORNERS`` order.
+        selection: the pass's own budget's leaves.
+        field_evaluations: field points the pass evaluated.
+    """
+
+    origin: np.ndarray
+    extent: float
+    resolution: int
+    levels: tuple
+    iso: float
+    warm: bool
+    frontiers: list
+    selection: LeafSelection
+    field_evaluations: int
+
+
 def extract_surface_octree(
     sdf: Callable[[np.ndarray], np.ndarray],
     bounds: Tuple[np.ndarray, np.ndarray],
@@ -156,24 +226,254 @@ def extract_surface_octree(
             must guarantee the seeds cover every cell the surface
             crosses, or parts of it are missed.
         stats: optional :class:`~repro.geometry.marching.
-            ExtractionStats` filled in place.
+            ExtractionStats` filled in place, including the pass's
+            :class:`OctreeRefinement` record.
 
     Returns:
         The extracted :class:`TriangleMesh`.
     """
+    lo, extent = _grid_frame(bounds, resolution)
+    levels = level_schedule(resolution, base_resolution)
+    scratch = _QueryScratch()
+    refinement = _refine(
+        sdf, lo, extent, resolution, iso, levels, budget, seed_leaves,
+        scratch,
+    )
+    mesh = _polygonise_selection(
+        refinement, refinement.selection, scratch, stats
+    )
+    if stats is not None:
+        stats.field_evaluations = refinement.field_evaluations
+        stats.warm_started = refinement.warm
+        stats.refinement = refinement
+    return mesh
+
+
+#: The one extractor under its general name.
+extract_surface = extract_surface_octree
+
+
+def derive_surface(
+    refinement: OctreeRefinement,
+    bounds: Tuple[np.ndarray, np.ndarray],
+    resolution: int,
+    iso: float = 0.0,
+    base_resolution: Optional[int] = None,
+    budget=None,
+    stats: Optional[ExtractionStats] = None,
+) -> Optional[TriangleMesh]:
+    """:func:`extract_surface_octree`'s mesh for ``budget``, taken from
+    another extraction's refinement record without evaluating the field.
+
+    The record must come from an extraction of the same field (the
+    caller's guarantee); ``bounds``, ``resolution``, ``iso`` and
+    ``base_resolution`` must name its grid.  Returns ``None`` when the
+    record cannot serve the budget (see :func:`select_leaves`) or its
+    grid differs; the caller then extracts from the field.  ``stats``
+    is filled as the extraction would fill it, except that it reports
+    no field evaluations and no refinement record.
+    """
+    lo, extent = _grid_frame(bounds, resolution)
+    if (
+        refinement.resolution != resolution
+        or refinement.levels != level_schedule(resolution, base_resolution)
+        or refinement.iso != iso
+        or refinement.extent != extent
+        or not np.array_equal(refinement.origin, lo)
+    ):
+        return None
+    selection = select_leaves(refinement, budget)
+    if selection is None:
+        return None
+    return _polygonise_selection(
+        refinement, selection, _QueryScratch(), stats
+    )
+
+
+def select_leaves(
+    refinement: OctreeRefinement, budget
+) -> Optional[LeafSelection]:
+    """The leaves ``budget`` stops at, selected from a cold record.
+
+    Applies the stop rule the refinement pass applied, depth by depth,
+    to the recorded cells: the dense root pass is the same for every
+    budget, and each later depth's cells are the children of the
+    cells refined above, so a budget that never refines a cell the
+    record did not refine sees exactly the cells and corner values it
+    would have evaluated itself.  Coverage is checked cell by cell:
+    ``None`` when the budget would refine a cell deeper than the
+    record did, and for a warm-started record, whose coarse depths
+    were never evaluated.
+    """
+    if refinement.warm:
+        return None
+    levels = refinement.levels
+    max_depth = len(levels) - 1
+    leaves: list = []
+    cells_refined = 0
+    cells_skipped_gaze = 0
+    level_spans = []
+    # The budget's cells among the depth's recorded ones (None: all).
+    candidates: Optional[np.ndarray] = None
+    for depth, recorded in enumerate(refinement.frontiers):
+        if recorded is None:
+            break
+        t0 = perf_counter()
+        refined = recorded[-1]
+        leaf, refine, skipped, kept = _stop_rule(
+            depth, recorded[:-1], candidates, refinement.origin,
+            refinement.extent / levels[depth], max_depth, budget,
+            bool(leaves),
+        )
+        if np.any(refine & ~refined):
+            return None
+        if leaf is not None:
+            leaves.append(leaf)
+        cells_refined += int(np.count_nonzero(refine))
+        cells_skipped_gaze += skipped
+        candidates = np.repeat(refine[refined], 8)
+        level_spans.append(_level_span(t0, depth, kept, 0))
+        if not candidates.any():
+            break
+    return LeafSelection(
+        leaves, cells_refined, cells_skipped_gaze, level_spans
+    )
+
+
+def _level_span(
+    start: float, depth: int, cells: int, evaluations: int
+) -> dict:
+    """The ``extract.level`` timing record of one depth, ending now."""
+    return {
+        "name": "extract.level",
+        "start": start,
+        "end": perf_counter(),
+        "depth": depth,
+        "cells": int(cells),
+        "evaluations": int(evaluations),
+    }
+
+
+def _grid_frame(
+    bounds: Tuple[np.ndarray, np.ndarray], resolution: int
+) -> Tuple[np.ndarray, float]:
+    """The grid origin and cubified extent of ``bounds``."""
     lo = np.asarray(bounds[0], dtype=np.float64)
     hi = np.asarray(bounds[1], dtype=np.float64)
     if np.any(hi <= lo):
         raise GeometryError("bounds max must exceed min on every axis")
     if resolution < 2:
         raise GeometryError("resolution must be at least 2")
-    extent = float((hi - lo).max())
+    return lo, float((hi - lo).max())
 
-    levels = level_schedule(resolution, base_resolution)
+
+def _classify(
+    corner_values: np.ndarray, iso: float, spacing: float
+) -> tuple:
+    """Per-cell flags of one depth: ``(straddling, active, seedable)``.
+
+    Every point of a cell lies within half a cell diagonal of one of
+    its corners, so a 1-Lipschitz field's surface can cross a cell
+    only if it straddles the iso level or a corner value comes within
+    that margin: such cells seed the next frame's warm start.
+    Refinement keeps (``active``) cells within a whole diagonal.
+    """
+    # Reduced column by column: across the 8 values of a row the
+    # reduction is several times slower.  Minima and maxima are exact,
+    # so the order changes no bit.
+    vmin = np.minimum(corner_values[:, 0], corner_values[:, 1])
+    vmax = np.maximum(corner_values[:, 0], corner_values[:, 1])
+    for corner in range(2, 8):
+        np.minimum(vmin, corner_values[:, corner], out=vmin)
+        np.maximum(vmax, corner_values[:, corner], out=vmax)
+    strad = (vmin <= iso) & (vmax >= iso)
+    gap = np.minimum(np.abs(vmin - iso), np.abs(vmax - iso))
+    diagonal = spacing * np.sqrt(3.0)
+    return strad, strad | (gap <= diagonal), strad | (gap <= 0.5 * diagonal)
+
+
+def _stop_rule(
+    depth: int,
+    frontier: tuple,
+    candidates: Optional[np.ndarray],
+    lo: np.ndarray,
+    spacing: float,
+    max_depth: int,
+    budget,
+    mixed: bool,
+) -> tuple:
+    """One depth's stop/leaf decision, shared by every leaf selection.
+
+    ``frontier`` is ``(cells, corner_values, straddling, active,
+    seedable)`` of the cells evaluated at ``depth``; ``candidates``
+    masks the ones this selection reached (``None``: all of them), and
+    ``mixed`` says whether leaves already stopped at a coarser depth.
+    Returns ``(leaf, refine, skipped, kept)``: the group that stops
+    here as a leaf (or ``None``), the mask of ``cells`` to subdivide,
+    the straddling cells the budget stopped early, and how many cells
+    the activity filter kept.
+    """
+    cells, corner_values, strad, active, seedable = frontier
+    if depth < max_depth or not mixed:
+        # Coarser depths refine the active cells; a pure finest-depth
+        # extraction polygonises the straddling ones.
+        candidates = active if candidates is None else active & candidates
+    # else: depths mix.  Keep every *evaluated* finest cell as a
+    # candidate — coarser neighbours' interpolants overwrite face
+    # corner values during resolution, which can flip borderline
+    # straddle decisions, so filtering on the raw values here would
+    # punch pinholes along depth transitions.  The resolved-value
+    # straddle test in _polygonise_mixed does the real filtering.
+    kept = None if candidates is None else np.flatnonzero(candidates)
+
+    # Per-cell stop decision.  Margin (non-straddling) cells that stop
+    # are retained as leaves too: their interpolated values close the
+    # resolved field around straddling neighbours, which the
+    # watertightness of the mixed polygonisation relies on.
+    refine = np.zeros(len(cells), dtype=bool)
+    skipped = 0
+    if depth == max_depth:
+        stop = kept
+    elif budget is None:
+        stop = kept[:0]
+        refine[kept] = True
+    else:
+        sub = cells[kept]
+        centers = lo + (sub.astype(np.float64) + 0.5) * spacing
+        targets = np.asarray(
+            budget.target_depths(centers, max_depth), dtype=np.int64
+        )
+        stopping = targets <= depth
+        stop = kept[stopping]
+        refine[kept[~stopping]] = True
+        skipped = int(np.count_nonzero(strad[stop]))
+    if stop is None:
+        leaf = (depth, cells, corner_values, strad, seedable)
+    else:
+        leaf = (depth, cells[stop], corner_values[stop], strad[stop],
+                seedable[stop])
+    if not len(leaf[1]):
+        leaf = None
+    return leaf, refine, skipped, len(cells) if kept is None else len(kept)
+
+
+def _refine(
+    sdf: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    extent: float,
+    resolution: int,
+    iso: float,
+    levels: tuple,
+    budget,
+    seed_leaves: Optional[Sequence],
+    scratch: _QueryScratch,
+) -> OctreeRefinement:
+    """The refinement pass of :func:`extract_surface_octree`: evaluate
+    each depth's cells, select its own budget's leaves as it goes, and
+    record what it evaluated."""
     max_depth = len(levels) - 1
     counting = _CountingSDF(sdf)
     packed = _PackedField(counting)
-    scratch = _QueryScratch()
 
     pending: dict = {}
     if seed_leaves is not None:
@@ -185,9 +485,8 @@ def extract_surface_octree(
                 ).append(cells)
     warm = bool(pending)
 
-    # (depth, cells, corner_values, straddling, seedable), appended
-    # coarse-first.
-    leaves = []
+    frontiers: list = [None] * len(levels)
+    leaves: list = []
     cells_refined = 0
     cells_skipped_gaze = 0
     level_spans = []
@@ -256,76 +555,58 @@ def extract_surface_octree(
                 packed, cells, lo, spacing, level + 1, scratch
             )
 
-        # Every point of a cell lies within half a cell diagonal of one
-        # of its corners, so a 1-Lipschitz field's surface can cross a
-        # cell only if it straddles the iso level or a corner value
-        # comes within that margin: such cells seed the next frame's
-        # warm start.  Refinement keeps cells within a whole diagonal.
-        vmin = corner_values.min(axis=1)
-        vmax = corner_values.max(axis=1)
-        strad = (vmin <= iso) & (vmax >= iso)
-        gap = np.minimum(np.abs(vmin - iso), np.abs(vmax - iso))
-        diagonal = spacing * np.sqrt(3.0)
-        seedable = strad | (gap <= 0.5 * diagonal)
-        if depth < max_depth or not leaves:
-            # Coarser depths refine the active cells; a pure finest-
-            # depth extraction polygonises the straddling ones.
-            active = strad | (gap <= diagonal)
-            cells = cells[active]
-            corner_values = corner_values[active]
-            strad = strad[active]
-            seedable = seedable[active]
-        # else: depths mix.  Keep every *evaluated* finest cell as a
-        # candidate — coarser neighbours' interpolants overwrite face
-        # corner values during resolution, which can flip borderline
-        # straddle decisions, so filtering on the raw values here would
-        # punch pinholes along depth transitions.  The resolved-value
-        # straddle test in _polygonise_mixed does the real filtering.
-
-        # Per-cell stop decision.  Margin (non-straddling) cells that
-        # stop are retained as leaves too: their interpolated values
-        # close the resolved field around straddling neighbours, which
-        # the watertightness of the mixed polygonisation relies on.
-        if depth == max_depth:
-            if len(cells):
-                leaves.append(
-                    (depth, cells, corner_values, strad, seedable)
-                )
-            refine = cells[:0]
-        elif budget is None:
-            refine = cells
-        else:
-            centers = lo + (cells.astype(np.float64) + 0.5) * spacing
-            targets = np.asarray(
-                budget.target_depths(centers, max_depth), dtype=np.int64
-            )
-            stop = targets <= depth
-            cells_skipped_gaze += int(np.count_nonzero(stop & strad))
-            if np.any(stop):
-                leaves.append(
-                    (depth, cells[stop], corner_values[stop],
-                     strad[stop], seedable[stop])
-                )
-            refine = cells[~stop]
-        cells_refined += len(refine)
+        frontier = (
+            cells, corner_values, *_classify(corner_values, iso, spacing)
+        )
+        leaf, refine, skipped, kept = _stop_rule(
+            depth, frontier, None, lo, spacing, max_depth, budget,
+            bool(leaves),
+        )
+        frontiers[depth] = (*frontier, refine)
+        if leaf is not None:
+            leaves.append(leaf)
+        cells_skipped_gaze += skipped
+        refined = cells[refine]
+        cells_refined += len(refined)
         carried = (
-            (refine[:, None, :] * 2 + _CUBE_CORNERS[None]).reshape(-1, 3)
-            if len(refine)
+            (refined[:, None, :] * 2 + _CUBE_CORNERS[None]).reshape(-1, 3)
+            if len(refined)
             else None
         )
 
         level_spans.append(
-            {
-                "name": "extract.level",
-                "start": t0,
-                "end": perf_counter(),
-                "depth": depth,
-                "cells": int(len(cells)),
-                "evaluations": int(counting.count - evals_before),
-            }
+            _level_span(t0, depth, kept, counting.count - evals_before)
         )
 
-    spacing_fine = extent / resolution
+    return OctreeRefinement(
+        origin=lo,
+        extent=extent,
+        resolution=resolution,
+        levels=levels,
+        iso=iso,
+        warm=warm,
+        frontiers=frontiers,
+        selection=LeafSelection(
+            leaves, cells_refined, cells_skipped_gaze, level_spans
+        ),
+        field_evaluations=counting.count,
+    )
+
+
+def _polygonise_selection(
+    refinement: OctreeRefinement,
+    selection: LeafSelection,
+    scratch: _QueryScratch,
+    stats: Optional[ExtractionStats],
+) -> TriangleMesh:
+    """Polygonise one selection's leaves; fill ``stats`` with its leaf
+    set and spans."""
+    leaves = selection.leaves
+    levels = refinement.levels
+    lo = refinement.origin
+    resolution = refinement.resolution
+    iso = refinement.iso
+    spacing_fine = refinement.extent / resolution
     t0 = perf_counter()
     mixed = False
     if not leaves:
@@ -334,7 +615,7 @@ def extract_surface_octree(
             faces=np.zeros((0, 3), dtype=np.int64),
         )
         surface = np.zeros((0, 3), dtype=np.int64)
-    elif len(leaves) == 1 and leaves[0][0] == max_depth:
+    elif len(leaves) == 1 and leaves[0][0] == len(levels) - 1:
         # Uniform-depth leaf set: classic finest-lattice polygonisation
         # of the straddling cells, in linear-index order.
         _, cells, vals, strad, _ = leaves[0]
@@ -346,17 +627,16 @@ def extract_surface_octree(
     else:
         mixed = True
         mesh, surface = _polygonise_mixed(
-            leaves, levels, lo, extent, resolution, iso, scratch
+            leaves, levels, lo, refinement.extent, resolution, iso,
+            scratch,
         )
-    level_spans.append(
-        {
-            "name": "extract.polygonise",
-            "start": t0,
-            "end": perf_counter(),
-            "cells": int(len(surface)),
-            "mixed": mixed,
-        }
-    )
+    polygonise_span = {
+        "name": "extract.polygonise",
+        "start": t0,
+        "end": perf_counter(),
+        "cells": int(len(surface)),
+        "mixed": mixed,
+    }
 
     if stats is not None:
         seed_cells = [cells[seed] for _, cells, _, _, seed in leaves]
@@ -364,8 +644,6 @@ def extract_surface_octree(
             np.full(len(group), leaf[0], dtype=np.int64)
             for leaf, group in zip(leaves, seed_cells)
         ]
-        stats.field_evaluations = counting.count
-        stats.warm_started = warm
         stats.surface_cells = surface
         stats.origin = lo
         stats.spacing = spacing_fine
@@ -381,14 +659,10 @@ def extract_surface_octree(
             else np.zeros(0, dtype=np.int64)
         )
         stats.leaf_levels = levels
-        stats.cells_refined = cells_refined
-        stats.cells_skipped_gaze = cells_skipped_gaze
-        stats.level_spans = level_spans
+        stats.cells_refined = selection.cells_refined
+        stats.cells_skipped_gaze = selection.cells_skipped_gaze
+        stats.level_spans = [*selection.level_spans, polygonise_span]
     return mesh
-
-
-#: The one extractor under its general name.
-extract_surface = extract_surface_octree
 
 
 def warm_seeds(

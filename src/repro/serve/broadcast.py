@@ -3,12 +3,19 @@
 One sender uplinks its semantic payload once per frame; an edge-side
 caching tier decodes it **once per gaze-LOD tier** and every receiver
 of that tier is served the same mesh from the shared
-:class:`repro.serve.cache.MeshCache`.  This extends PR 3's fan-out
-result (one reconstruction per sender frame) to "one per (sender
-frame, LOD tier)": receivers are grouped by a canonical
+:class:`repro.serve.cache.MeshCache`.  This extends the fan-out result
+(one reconstruction per sender frame) to "one per (sender frame, LOD
+tier)": receivers are grouped by a canonical
 :class:`repro.gaze.lod.GazeDepthBudget` per tier, the budget rides the
-cache key of the extraction, so the first receiver of a tier
-pays the reconstruction and the remaining N-1 hit.
+cache key of the extraction, so the first receiver of a tier pays the
+reconstruction and the remaining N-1 hit.
+
+The tiers share the field work too: an in-process engine runs **one
+octree refinement per frame**, at the first tier to miss (tier 0, full
+detail), and every coarser tier selects its leaves from that
+refinement's record and runs **one polygonisation** (see
+:class:`repro.serve.engine.ServingEngine`).  Each tier's mesh still
+counts as one reconstruction.
 
 Receivers keep *individual* concealment state: a receiver whose last
 hop dropped a frame extrapolates/freezes from its own pipeline while
@@ -121,7 +128,11 @@ class BroadcastSummary:
         receivers: receiver count.
         reconstructions: reconstructions the engine actually performed
             during the run (cache hits excluded) — the exact-counting
-            invariant is ``reconstructions == unique_pairs``.
+            invariant is ``reconstructions == unique_pairs``.  A tier
+            polygonised from another tier's refinement of the same
+            frame counts as one: an in-process engine refines once per
+            frame (``serve.engine.refinements``) and polygonises once
+            per tier.
         unique_pairs: distinct (frame, tier) pairs that paid a
             reconstruction.
         cache_hits: engine cache hits during the run.

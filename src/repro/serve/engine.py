@@ -11,6 +11,13 @@ plain keypoint pipeline: parameters in, mesh out, no receiver-side
 texture work) go through cache and pool; everything else falls back to
 the pipeline's own ``decode`` — correctness first, acceleration where
 the decode really is a pure function of the transmitted parameters.
+
+In process, the engine also keeps the most recent cold refinement made
+under a gaze budget, keyed on the exact transmitted parameters and the
+reconstructor configuration.  A cache miss of another gaze tier of the
+same frame selects its leaves from that record and only polygonises
+(:func:`repro.geometry.octree.derive_surface`): one refinement per
+frame, one polygonisation per tier.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.avatar.store import AvatarStore
 from repro.obs.clock import perf_counter
@@ -46,7 +55,8 @@ class ServingStats:
         inline_decodes: frames decoded by the pipeline itself
             (non-offloadable pipeline or no serving benefit).
         reconstructions: reconstructions actually performed (pool or
-            local) — cache hits do not count.
+            local) — cache hits do not count; a tier polygonised from
+            another tier's refinement does.
     """
 
     offloaded: int = 0
@@ -132,6 +142,9 @@ class ServingEngine:
         # the gateway's service-rate model (a skinning-only stream is
         # far cheaper than field extraction).
         self._store_recent: Dict[str, Deque[float]] = {}
+        # (exact parameter key, record) of the latest cold, budgeted
+        # in-process refinement; see _refinement_key.
+        self._refinement: Optional[tuple] = None
         self._closed = False
 
     # -- stream bookkeeping ----------------------------------------
@@ -348,8 +361,7 @@ class ServingEngine:
         elif ticket.mode == "pool":
             result = self.pool.result(ticket.job_id)
             mesh = result.mesh
-            self.stats.reconstructions += 1
-            self.metrics.inc("serve.engine.reconstructions")
+            self._count_reconstruction(derived=False)
             timing.add("mesh_reconstruction", result.seconds)
             metadata.update(
                 field_evaluations=result.field_evaluations,
@@ -361,17 +373,8 @@ class ServingEngine:
             if self.cache is not None and ticket.key is not None:
                 mesh = self.cache.put(ticket.key, mesh)
         else:  # "local": in-process, per-stream warm-start state
-            reconstructor = self._local_reconstructor(
-                ticket.stream, pipeline
-            )
-            result = reconstructor.reconstruct(
-                pose=ticket.payload.pose,
-                shape=ticket.payload.shape,
-                expression=ticket.payload.expression,
-            )
+            result = self._reconstruct_local(ticket)
             mesh = result.mesh
-            self.stats.reconstructions += 1
-            self.metrics.inc("serve.engine.reconstructions")
             timing.add("mesh_reconstruction", result.seconds)
             metadata.update(
                 field_evaluations=result.field_evaluations,
@@ -465,8 +468,7 @@ class ServingEngine:
                 )
                 mesh = result.mesh
                 evaluations += result.field_evaluations
-                self.stats.reconstructions += 1
-                self.metrics.inc("serve.engine.reconstructions")
+                self._count_reconstruction(derived=False)
                 timing.add("mesh_reconstruction", result.seconds)
                 start = perf_counter()
                 self.store.publish(
@@ -486,6 +488,45 @@ class ServingEngine:
         if self.cache is not None and ticket.key is not None:
             mesh = self.cache.put(ticket.key, mesh)
         return mesh
+
+    def _count_reconstruction(self, derived: bool) -> None:
+        self.stats.reconstructions += 1
+        self.metrics.inc("serve.engine.reconstructions")
+        if not derived:
+            self.metrics.inc("serve.engine.refinements")
+
+    def _reconstruct_local(self, ticket: DecodeTicket):
+        """One in-process reconstruction.  Under a gaze budget, a frame
+        whose exact parameters match the held refinement record is
+        polygonised from it; a new cold refinement replaces the
+        record."""
+        reconstructor = self._local_reconstructor(
+            ticket.stream, ticket.pipeline
+        )
+        payload = ticket.payload
+        budgeted = reconstructor.depth_budget is not None
+        key = _refinement_key(payload, reconstructor) if budgeted else None
+        held = self._refinement
+        result = reconstructor.reconstruct(
+            pose=payload.pose,
+            shape=payload.shape,
+            expression=payload.expression,
+            refinement=(
+                held[1] if held is not None and held[0] == key else None
+            ),
+            keep_refinement=budgeted,
+        )
+        self._count_reconstruction(result.derived)
+        if not result.derived:
+            # Taken off the result, so the engine's is the only
+            # reference that keeps the record alive.
+            record, result.refinement = result.refinement, None
+            self._refinement = (
+                (key, record)
+                if record is not None and not record.warm
+                else None
+            )
+        return result
 
     def _note_store_outcome(self, stream: str, hit: bool) -> None:
         session = stream.split("|", 1)[0]
@@ -599,6 +640,7 @@ class ServingEngine:
         if self._closed:
             return
         self._closed = True
+        self._refinement = None
         if self.pool is not None:
             self.pool.close()
         if self.store is not None:
@@ -609,6 +651,29 @@ class ServingEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _refinement_key(payload, reconstructor) -> tuple:
+    """Exact identity of a reconstruction's field and grid: the
+    reconstructor configuration plus the raw bytes of the transmitted
+    parameters.  The mesh cache's bucketed key is not enough — two
+    poses in one bucket refine different fields."""
+    config = (
+        reconstructor.resolution,
+        reconstructor.expression_channels,
+        reconstructor.blend,
+        reconstructor.octree_base,
+    )
+    params = (
+        payload.pose.joint_rotations,
+        payload.pose.translation,
+        payload.shape.betas,
+        payload.expression.coefficients,
+    )
+    return config + tuple(
+        np.ascontiguousarray(array, dtype="<f8").tobytes()
+        for array in params
+    )
 
 
 def resolve_engine(

@@ -1,0 +1,329 @@
+"""Deriving coarser gaze tiers from one octree refinement.
+
+A budget that stops cells no deeper than another one sees, at every
+depth, a subset of that budget's cells with identical corner values.
+So the leaves of every tier of a gaze ladder can be selected from one
+cold refinement at the finest tier, and only polygonisation runs per
+tier.  These tests pin that the derived meshes are byte-identical to
+each tier's own extraction — random capsule unions and body poses under
+random ladders, and the frozen broadcast-tier tables — and that every
+record that cannot serve a budget is refused, so the caller extracts
+from the field instead.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.avatar.implicit import PosedBodyField
+from repro.avatar.reconstructor import KeypointMeshReconstructor
+from repro.body.motion import talking
+from repro.body.pose import BodyPose
+from repro.gaze.lod import GazeDepthBudget
+from repro.geometry.marching import ExtractionStats
+from repro.geometry.octree import (
+    derive_surface,
+    extract_surface_octree,
+    select_leaves,
+    warm_seeds,
+)
+from repro.geometry.sdf import FusedCapsuleUnion
+from repro.serve.broadcast import gaze_tiers
+from tests.geometry.frozen import (
+    MIXED_ROOT,
+    MIXED_SEQUENCES,
+    assert_frozen,
+)
+
+BOX = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
+
+_STATS_FIELDS = (
+    "surface_cells", "leaf_cells", "leaf_depths", "origin",
+)
+
+
+def _capsule_union(rng):
+    n = int(rng.integers(1, 7))
+    heads = rng.uniform(-0.5, 0.5, size=(n, 3))
+    tails = heads + rng.uniform(-0.3, 0.3, size=(n, 3))
+    radii = rng.uniform(0.03, 0.15, size=(2, n))
+    field = FusedCapsuleUnion(
+        heads=heads, tails=tails, radii_head=radii[0],
+        radii_tail=radii[1], blend=float(rng.uniform(0.02, 0.06)),
+        ellipsoid_center=rng.uniform(-0.3, 0.3, size=3),
+        ellipsoid_radii=rng.uniform(0.08, 0.2, size=3),
+    )
+    return field, BOX
+
+
+def _posed_body(rng):
+    pose = BodyPose.identity()
+    pose.joint_rotations[:22] = rng.normal(scale=0.25, size=(22, 3))
+    field = PosedBodyField(pose=pose)
+    return field, field.bounds()
+
+
+def _ladder(rng, bounds, drops):
+    """Budgets sharing one random gaze cone, one per drop."""
+    lo, hi = bounds
+    eye = lo + (hi - lo) * rng.uniform(-0.5, 1.5, size=3)
+    direction = rng.normal(size=3)
+    cone = float(rng.uniform(5.0, 60.0))
+    return [
+        GazeDepthBudget(
+            eye=eye, direction=direction, cone_degrees=cone,
+            peripheral_drop=drop,
+        )
+        for drop in drops
+    ]
+
+
+def _same_mesh(a, b):
+    return (
+        a.vertices.tobytes() == b.vertices.tobytes()
+        and a.faces.tobytes() == b.faces.tobytes()
+    )
+
+
+def _assert_same_stats(derived, solo):
+    for name in _STATS_FIELDS:
+        assert np.array_equal(
+            getattr(derived, name), getattr(solo, name)
+        ), name
+    assert derived.leaf_levels == solo.leaf_levels
+    assert derived.spacing == solo.spacing
+    assert derived.resolution == solo.resolution
+    assert derived.cells_refined == solo.cells_refined
+    assert derived.cells_skipped_gaze == solo.cells_skipped_gaze
+    assert derived.field_evaluations == 0
+    assert derived.refinement is None
+
+
+class TestDerivedTiersMatchSolo:
+    """Every tier of a ladder, selected from one refinement at its
+    finest tier, equals that tier's own extraction byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        body=st.booleans(),
+        drops=st.lists(
+            st.integers(0, 3), min_size=1, max_size=3, unique=True
+        ),
+        root=st.sampled_from((8, 16, 32)),
+        levels=st.integers(1, 2),
+    )
+    def test_random_fields_and_ladders(
+        self, seed, body, drops, root, levels
+    ):
+        rng = np.random.default_rng(seed)
+        field, bounds = (_posed_body if body else _capsule_union)(rng)
+        resolution = min(root << levels, 64)
+        ladder = _ladder(rng, bounds, sorted(drops))
+        shared = ExtractionStats()
+        extract_surface_octree(
+            field, bounds, resolution, base_resolution=root,
+            budget=ladder[0], stats=shared,
+        )
+        for budget in ladder:
+            solo = ExtractionStats()
+            want = extract_surface_octree(
+                field, bounds, resolution, base_resolution=root,
+                budget=budget, stats=solo,
+            )
+            derived = ExtractionStats()
+            got = derive_surface(
+                shared.refinement, bounds, resolution,
+                base_resolution=root, budget=budget, stats=derived,
+            )
+            assert got is not None
+            assert _same_mesh(got, want)
+            _assert_same_stats(derived, solo)
+            # The leaf groups themselves, not only what they polygonise
+            # to: cells, corner values and flags, in order.
+            leaves = select_leaves(shared.refinement, budget).leaves
+            own = solo.refinement.selection.leaves
+            assert [leaf[0] for leaf in leaves] == [leaf[0] for leaf in own]
+            for leaf, want_leaf in zip(leaves, own):
+                for array, want_array in zip(leaf[1:], want_leaf[1:]):
+                    assert np.array_equal(array, want_array)
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [seq for seq in MIXED_SEQUENCES if seq[0].startswith("gaze-tier")],
+        ids=lambda seq: seq[0],
+    )
+    def test_frozen_broadcast_tiers(self, sequence):
+        """The broadcast's tiers 1 and 2, derived from tier 0's cold
+        refinement, reproduce the frozen cold meshes."""
+        prefix, budget, resolution, motion, n_frames = sequence
+        tier0 = gaze_tiers(3)[0]
+        for index, frame in enumerate(motion(n_frames=n_frames).frames):
+            finest = KeypointMeshReconstructor(
+                resolution=resolution, octree_base=MIXED_ROOT,
+                warm_start=False,
+            )
+            finest.set_depth_budget(tier0)
+            record = finest.reconstruct(
+                pose=frame.pose, keep_refinement=True
+            ).refinement
+            rec = KeypointMeshReconstructor(
+                resolution=resolution, octree_base=MIXED_ROOT,
+                warm_start=False,
+            )
+            rec.set_depth_budget(budget)
+            result = rec.reconstruct(pose=frame.pose, refinement=record)
+            assert result.derived
+            assert result.field_evaluations == 0
+            assert_frozen(f"{prefix}-f{index}-cold", result.mesh)
+
+
+class TestWarmStartState:
+    def test_derived_frame_leaves_cold_frame_state(self):
+        """A derived tier leaves its reconstructor the warm-start state
+        a cold extraction leaves, so the next frames (warm-started
+        from it) match too."""
+        tier0, tier1 = gaze_tiers(2)
+        frames = talking(n_frames=3).frames
+
+        def reconstructor(budget, warm_start=True):
+            rec = KeypointMeshReconstructor(
+                resolution=64, octree_base=16, warm_start=warm_start
+            )
+            rec.set_depth_budget(budget)
+            return rec
+
+        finest = reconstructor(tier0, warm_start=False)
+        derived, cold = reconstructor(tier1), reconstructor(tier1)
+        record = finest.reconstruct(
+            pose=frames[0].pose, keep_refinement=True
+        ).refinement
+        first = derived.reconstruct(pose=frames[0].pose, refinement=record)
+        assert first.derived
+        want = cold.reconstruct(pose=frames[0].pose)
+        assert _same_mesh(first.mesh, want.mesh)
+        _assert_same_stats(derived._prev_stats, cold._prev_stats)
+        for frame in frames[1:]:
+            a = derived.reconstruct(pose=frame.pose)
+            b = cold.reconstruct(pose=frame.pose)
+            assert a.warm_started and b.warm_started
+            assert a.field_evaluations == b.field_evaluations
+            assert _same_mesh(a.mesh, b.mesh)
+
+
+def _budget(drop, eye=(0.0, 1.4, 2.6), cone=12.0):
+    return GazeDepthBudget(
+        eye=np.asarray(eye, dtype=np.float64),
+        direction=np.array([0.0, -0.05, -1.0]),
+        cone_degrees=cone,
+        peripheral_drop=drop,
+    )
+
+
+class TestRefusals:
+    """A record that cannot serve a budget is refused cell by cell,
+    and the reconstructor then extracts from the field."""
+
+    RESOLUTION = 64
+    ROOT = 16
+
+    @classmethod
+    def _field(cls):
+        pose = talking(n_frames=1).frames[0].pose
+        return PosedBodyField(pose=pose), pose
+
+    @classmethod
+    def _record(cls, budget, seed_leaves=None):
+        field, _ = cls._field()
+        stats = ExtractionStats()
+        extract_surface_octree(
+            field, field.bounds(), cls.RESOLUTION,
+            base_resolution=cls.ROOT, budget=budget,
+            seed_leaves=seed_leaves, stats=stats,
+        )
+        return stats
+
+    @classmethod
+    def _assert_falls_back(cls, record, budget):
+        assert select_leaves(record, budget) is None
+        _, pose = cls._field()
+        rec = KeypointMeshReconstructor(
+            resolution=cls.RESOLUTION, octree_base=cls.ROOT,
+            warm_start=False,
+        )
+        rec.set_depth_budget(budget)
+        result = rec.reconstruct(pose=pose, refinement=record)
+        assert not result.derived
+        assert result.field_evaluations > 0
+        solo = KeypointMeshReconstructor(
+            resolution=cls.RESOLUTION, octree_base=cls.ROOT,
+            warm_start=False,
+        )
+        solo.set_depth_budget(budget)
+        assert _same_mesh(result.mesh, solo.reconstruct(pose=pose).mesh)
+
+    def test_record_from_a_coarser_budget(self):
+        record = self._record(_budget(2)).refinement
+        self._assert_falls_back(record, _budget(1))
+        self._assert_falls_back(record, None)
+
+    def test_warm_started_record(self):
+        field, _ = self._field()
+        prev = self._record(_budget(0))
+        seeds = warm_seeds(
+            prev, field.bounds(), self.RESOLUTION, self.ROOT,
+            budget=_budget(0),
+        )
+        assert seeds is not None
+        record = self._record(_budget(0), seed_leaves=seeds).refinement
+        assert record.warm
+        # Its own budget's leaves are no exception: a warm record has
+        # no coarse depths to select from.
+        self._assert_falls_back(record, _budget(0))
+        self._assert_falls_back(record, _budget(2))
+
+    def test_different_eye_or_cone(self):
+        record = self._record(_budget(1)).refinement
+        self._assert_falls_back(record, _budget(1, eye=(0.0, -0.5, 2.6)))
+        self._assert_falls_back(record, _budget(1, cone=40.0))
+
+    def test_finer_record_serves_a_different_eye(self):
+        """The check is coverage, not budget identity: a full-depth
+        record serves any cone."""
+        field, _ = self._field()
+        record = self._record(_budget(0)).refinement
+        budget = _budget(2, eye=(0.0, -0.5, 2.6), cone=30.0)
+        want = extract_surface_octree(
+            field, field.bounds(), self.RESOLUTION,
+            base_resolution=self.ROOT, budget=budget,
+        )
+        got = derive_surface(
+            record, field.bounds(), self.RESOLUTION,
+            base_resolution=self.ROOT, budget=budget,
+        )
+        assert got is not None and _same_mesh(got, want)
+
+    def test_other_grid_refused(self):
+        field, _ = _capsule_union(np.random.default_rng(3))
+        stats = ExtractionStats()
+        extract_surface_octree(
+            field, BOX, self.RESOLUTION, base_resolution=self.ROOT,
+            stats=stats,
+        )
+        lo, hi = BOX
+        # Shifts by exact binary fractions: only the named property of
+        # the grid changes.
+        for bounds, resolution, root in (
+            ((lo - 0.25, hi - 0.25), self.RESOLUTION, self.ROOT),
+            ((lo, hi + 0.25), self.RESOLUTION, self.ROOT),
+            ((lo, hi), self.RESOLUTION * 2, self.ROOT),
+            ((lo, hi), self.RESOLUTION, self.ROOT * 2),
+        ):
+            assert derive_surface(
+                stats.refinement, bounds, resolution,
+                base_resolution=root,
+            ) is None
+        assert derive_surface(
+            stats.refinement, BOX, self.RESOLUTION,
+            base_resolution=self.ROOT,
+        ) is not None

@@ -98,6 +98,21 @@ class TestExactCounting:
             assert warm.cache_hits == frames * n
             assert warm.unique_pairs == 0
 
+    def test_one_refinement_per_frame(self, dataset):
+        """The tiers of one frame share tier 0's refinement: one field
+        refinement, still one reconstruction per (frame, tier)."""
+        with use_clock(FakeClock()), ServingEngine(
+            ServingConfig(workers=0)
+        ) as engine:
+            summary = BroadcastSession(
+                dataset, _audience(12, 3), tiers=3, resolution=16,
+                octree_base=8, serving=engine,
+            ).run(frames=1)
+            assert engine.metrics.value("serve.engine.refinements") == 1
+            assert summary.reconstructions == 3
+            assert summary.reconstructions == summary.unique_pairs
+            assert "refinements" not in engine.serving_summary()
+
     def test_reconstruction_count_scales_with_tiers_not_receivers(
         self, dataset
     ):
