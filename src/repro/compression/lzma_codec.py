@@ -67,9 +67,11 @@ class KeypointPayloadCodec:
     ``decompress`` wrap it in LZMA exactly as the paper does (§4.2).
     """
 
-    # LZMA preset chosen for latency: semantic payloads are tiny, so
-    # even the strongest preset is sub-millisecond, but 6 matches the
-    # library default the paper's numbers imply.
+    # 6 matches the library default the paper's numbers imply.  Its
+    # 8 MiB dictionary is not: the encoder sizes its match finder's
+    # hash table from the dictionary, so a preset-6 encoder costs
+    # milliseconds to set up for a payload of a few KB.  ``compress``
+    # keeps the preset but shrinks the dictionary to the payload.
     lzma_preset = 6
 
     def encode(self, payload: SemanticKeypointPayload) -> bytes:
@@ -142,8 +144,23 @@ class KeypointPayloadCodec:
         )
 
     def compress(self, payload: SemanticKeypointPayload) -> bytes:
-        """LZMA-compressed wire format (the paper's §4.2 configuration)."""
-        return lzma.compress(self.encode(payload), preset=self.lzma_preset)
+        """LZMA-compressed wire format (the paper's §4.2 configuration).
+
+        An LZMA2 filter at ``lzma_preset`` with the smallest
+        power-of-two dictionary (at least LZMA's 4 KiB minimum) that
+        holds the whole payload: every match stays in the window, so
+        the stream is as long as ``lzma.compress(raw, preset=...)``
+        gives and differs only in the header's dictionary-size byte.
+        """
+        raw = self.encode(payload)
+        dict_size = 4096
+        while dict_size < len(raw):
+            dict_size *= 2
+        return lzma.compress(raw, filters=[{
+            "id": lzma.FILTER_LZMA2,
+            "preset": self.lzma_preset,
+            "dict_size": dict_size,
+        }])
 
     def decompress(self, blob: bytes) -> SemanticKeypointPayload:
         """Inverse of :meth:`compress`."""

@@ -1,9 +1,12 @@
 """Tests for the payload / mesh / point-cloud / texture codecs."""
 
+import lzma
+
 import numpy as np
 import pytest
 
 from repro.body.expression import ExpressionParams
+from repro.body.motion import talking
 from repro.body.pose import BodyPose
 from repro.body.shape import ShapeParams
 from repro.compression.lzma_codec import (
@@ -75,6 +78,23 @@ class TestKeypointPayload:
         )
         blob = codec.compress(payload)
         assert len(blob) < codec.raw_size() * 0.8
+
+    def test_small_dictionary_keeps_preset_length(self, rng):
+        # compress sizes the LZMA2 dictionary to the payload; every
+        # match stays in the window, so each stream is exactly as long
+        # as the library's preset-6 default and decodes the same.
+        codec = KeypointPayloadCodec()
+        for index, frame in enumerate(talking(n_frames=24)):
+            payload = SemanticKeypointPayload(
+                pose=frame.pose,
+                expression=frame.expression,
+                confidences=rng.uniform(0.5, 1.0, 55).astype(np.float32),
+                frame_index=index,
+            )
+            raw = codec.encode(payload)
+            blob = codec.compress(payload)
+            assert len(blob) == len(lzma.compress(raw, preset=6))
+            assert lzma.decompress(blob) == raw
 
     def test_corrupt_blob_raises(self):
         with pytest.raises(CodecError):

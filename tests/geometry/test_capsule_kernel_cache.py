@@ -18,6 +18,7 @@ import pytest
 from repro.geometry import capsule_kernel, marching
 from repro.geometry.capsule_kernel import (
     CapsuleKernel,
+    batch_threads,
     compiled_capsule_kernel,
     kernel_available,
     reset_kernel_cache,
@@ -100,6 +101,35 @@ class TestDisableEnv:
         monkeypatch.setattr(capsule_kernel, "_build", exploding_build)
         monkeypatch.setenv("REPRO_DISABLE_C_KERNEL", "1")
         assert compiled_capsule_kernel() is None
+
+
+class TestBatchThreads:
+    """The default fan-out is the CPUs this process may run on."""
+
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH_THREADS", raising=False)
+        monkeypatch.setattr(capsule_kernel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            capsule_kernel.os, "sched_getaffinity", lambda pid: {3},
+            raising=False,
+        )
+        assert batch_threads() == 1
+
+    def test_host_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH_THREADS", raising=False)
+        monkeypatch.setattr(capsule_kernel.os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(
+            capsule_kernel.os, "sched_getaffinity", raising=False
+        )
+        assert batch_threads() == 8
+
+    def test_override_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_THREADS", "3")
+        monkeypatch.setattr(
+            capsule_kernel.os, "sched_getaffinity", lambda pid: {0},
+            raising=False,
+        )
+        assert batch_threads() == 3
 
 
 @needs_kernel

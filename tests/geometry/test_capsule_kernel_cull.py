@@ -1,0 +1,283 @@
+"""The compiled kernel's per-bin primitive cull is exact.
+
+The C evaluator bins the query points of a call on a coarse grid over
+their bounding box and walks, per bin, only the primitives whose
+smooth-min step is not provably an exact no-op for every point of the
+bin.  Which primitives a point walks therefore depends on the other
+points of its call, but its value must not: a point evaluated alone
+(too few points to bin, the full walk), in the whole array, in a
+shuffled array or in a random subset (other bins, other lists) gives
+the same bytes.  These properties sweep random capsule unions and
+posed bodies, bodies ~1 km from the origin, the hard min, zero-length
+segments, one primitive, an ellipsoid alone, coincident points, and
+points placed on the boundary of the no-op test, d_j == acc + k.
+
+A batch mixing non-finite query points with finite ones returns the
+finite points as they come alone, and the non-finite ones as the
+kernel gave them before it culled (values recorded from the full walk).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.avatar.implicit import PosedBodyField
+from repro.body.pose import BodyPose
+from repro.geometry.capsule_kernel import kernel_available
+from repro.geometry.sdf import FusedCapsuleUnion, evaluate_batch
+
+pytestmark = pytest.mark.skipif(
+    not kernel_available(),
+    reason="C capsule kernel unavailable (no toolchain or disabled)",
+)
+
+
+def _same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=np.float64)
+    want = np.ascontiguousarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+def _assert_call_independent(fused, points, rng):
+    """Every point gives the same bytes alone, in the whole array,
+    shuffled and in random subsets."""
+    whole = fused(points)
+    alone = np.concatenate([fused(p[None]) for p in points])
+    assert _same_bits(whole, alone)
+    order = rng.permutation(len(points))
+    assert _same_bits(fused(points[order]), whole[order])
+    for _ in range(3):
+        keep = rng.random(len(points)) < rng.uniform(0.2, 0.9)
+        assert _same_bits(fused(points[keep]), whole[keep])
+    (batched,) = evaluate_batch([(fused, points)])
+    assert _same_bits(batched, whole)
+
+
+def _capsule_union(rng, n_prims, blend, ellipsoid, offset):
+    heads = rng.uniform(-0.5, 0.5, size=(n_prims, 3))
+    tails = heads + rng.uniform(-0.3, 0.3, size=(n_prims, 3))
+    degenerate = rng.random(n_prims) < 0.2
+    tails[degenerate] = heads[degenerate]  # zero-length segments
+    radii = rng.uniform(0.02, 0.15, size=(2, n_prims))
+    extra = {}
+    if ellipsoid:
+        extra = dict(
+            ellipsoid_center=rng.uniform(-0.3, 0.3, size=3) + offset,
+            ellipsoid_radii=rng.uniform(0.05, 0.2, size=3),
+        )
+    return FusedCapsuleUnion(
+        heads=heads + offset, tails=tails + offset,
+        radii_head=radii[0], radii_tail=radii[1], blend=blend,
+        backend="c", **extra,
+    )
+
+
+def _posed_body(rng, offset):
+    pose = BodyPose.identity()
+    pose.joint_rotations[:22] = rng.normal(scale=0.25, size=(22, 3))
+    pose.translation = np.asarray(offset, dtype=np.float64)
+    field = PosedBodyField(pose=pose)
+    fused, _ = field.kernel_problem(np.zeros((1, 3)))
+    return fused
+
+
+def _query_points(rng, fused, count):
+    """Uniform points around the field plus points near its capsule
+    surfaces, with a few exact duplicates."""
+    if fused.num_segments:
+        anchors = np.vstack([fused._a, fused._b])
+    else:
+        anchors = fused._ell_center[None]
+    lo = anchors.min(axis=0) - 0.3
+    hi = anchors.max(axis=0) + 0.3
+    uniform = rng.uniform(lo, hi, size=(count // 2, 3))
+    near = []
+    for _ in range(count - len(uniform)):
+        if not fused.num_segments:
+            near.append(rng.uniform(lo, hi))
+            continue
+        j = rng.integers(fused.num_segments)
+        t = rng.uniform(0.0, 1.0)
+        axis = fused._a[j] + t * fused._ab[j]
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        radius = fused._ra[j] + t * fused._dr[j]
+        near.append(axis + direction * radius * rng.uniform(0.8, 1.3))
+    points = np.vstack([uniform, np.array(near).reshape(-1, 3)])
+    duplicates = rng.integers(0, len(points), size=count // 10)
+    return np.vstack([points, points[duplicates]])
+
+
+OFFSETS = st.sampled_from(("origin", "far"))
+
+
+def _offset(rng, where):
+    if where == "origin":
+        return np.zeros(3)
+    direction = rng.normal(size=3)
+    return direction / np.linalg.norm(direction) * rng.uniform(900, 1100)
+
+
+class TestCullIsExact:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_prims=st.integers(1, 16),
+        hard_min=st.booleans(),
+        ellipsoid=st.booleans(),
+        where=OFFSETS,
+    )
+    def test_random_capsule_unions(
+        self, seed, n_prims, hard_min, ellipsoid, where
+    ):
+        rng = np.random.default_rng(seed)
+        blend = 0.0 if hard_min else float(rng.uniform(0.01, 0.1))
+        fused = _capsule_union(
+            rng, n_prims, blend, ellipsoid, _offset(rng, where)
+        )
+        points = _query_points(rng, fused, int(rng.integers(70, 400)))
+        _assert_call_independent(fused, points, rng)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), where=OFFSETS)
+    def test_posed_bodies(self, seed, where):
+        rng = np.random.default_rng(seed)
+        fused = _posed_body(rng, _offset(rng, where))
+        points = _query_points(rng, fused, 600)
+        _assert_call_independent(fused, points, rng)
+
+    def test_ellipsoid_only(self):
+        rng = np.random.default_rng(5)
+        fused = FusedCapsuleUnion(
+            heads=np.zeros((0, 3)), tails=np.zeros((0, 3)),
+            radii_head=np.zeros(0), radii_tail=np.zeros(0),
+            ellipsoid_center=[0.1, 0.2, 0.3],
+            ellipsoid_radii=[0.2, 0.1, 0.15], backend="c",
+        )
+        points = _query_points(rng, fused, 200)
+        _assert_call_independent(fused, points, rng)
+
+    def test_coincident_points(self):
+        rng = np.random.default_rng(6)
+        fused = _posed_body(rng, np.zeros(3))
+        point = fused._a[5] + np.array([0.0, fused._ra[5], 0.0])
+        points = np.repeat(point[None], 100, axis=0)
+        assert _same_bits(
+            fused(points), np.repeat(fused(point[None]), 100)
+        )
+
+
+class TestNoOpBoundary:
+    """Points on capsule 0's surface (acc ~ 0) whose distance to
+    capsule 1 is k within a few units of rounding, for blend k.  The
+    step is an exact no-op on one side of that boundary only, and next
+    to acc ~ 0 the other side moves the last bits; so a cull bound
+    whose margin does not dominate rounding at the coordinates'
+    magnitude drops a step that matters.  Repeated copies of one point
+    make a bin of one position, so the bin adds no slack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.sampled_from((0.0, 1e3, 1e8)),
+    )
+    def test_second_capsule_at_blend_distance(self, seed, magnitude):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            direction = rng.normal(size=3)
+            offset = direction / np.linalg.norm(direction) * magnitude
+            rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            r0, r1 = rng.uniform(0.03, 0.12, size=2)
+            k = float(rng.uniform(0.01, 0.08))
+            length = rng.uniform(0.1, 0.4)
+            # Two parallel capsules; a point at -r0 on the line
+            # through both axes has d_0 = 0 and d_1 = spacing + r0 - r1.
+            ulp = 2.0 ** -52 * max(0.1, magnitude)
+            gap = 0.0 if rng.random() < 0.2 else rng.uniform(-3, 3) * ulp
+            spacing = k + r1 - r0 + gap
+            heads = np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]])
+            tails = heads + [0.0, 0.0, length]
+            fused = FusedCapsuleUnion(
+                heads=heads @ rotation.T + offset,
+                tails=tails @ rotation.T + offset,
+                radii_head=[r0, r1], radii_tail=[r0, r1], blend=k,
+                backend="c",
+            )
+            z = rng.uniform(0.0, length, size=4)
+            line = np.stack([np.full(4, -r0), np.zeros(4), z], axis=1)
+            for point in line @ rotation.T + offset:
+                copies = np.repeat(point[None], 70, axis=0)
+                assert _same_bits(
+                    fused(copies), np.repeat(fused(point[None]), 70)
+                )
+
+
+def _non_finite_field(blend, ellipsoid):
+    rng = np.random.default_rng(11)
+    return _capsule_union(rng, 12, blend, ellipsoid, np.zeros(3))
+
+
+_INF = float("inf")
+_NAN = float("nan")
+NON_FINITE_ROWS = np.array([
+    [_NAN, 0.0, 0.0],
+    [0.1, _NAN, 0.2],
+    [_NAN, _NAN, _NAN],
+    [_INF, 0.0, 0.0],
+    [0.0, -_INF, 0.0],
+    [0.0, 0.0, _INF],
+    [_INF, _INF, -_INF],
+    [-_INF, _NAN, 0.3],
+])
+
+# What the kernel returned for NON_FINITE_ROWS before the cull existed
+# (every primitive walked), per (blend, ellipsoid) field.
+PARENT_VALUES = {
+    (0.05, True): [_NAN] * 8,
+    (0.0, False): [_NAN, _NAN, _NAN, _INF, _INF, _INF, _INF, _NAN],
+}
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("blend,ellipsoid", sorted(PARENT_VALUES))
+    def test_mixed_batch(self, blend, ellipsoid):
+        fused = _non_finite_field(blend, ellipsoid)
+        rng = np.random.default_rng(12)
+        finite = _query_points(rng, fused, 200)
+        # Huge finite coordinates overflow the bounding box's extent.
+        huge = np.array([[1e308, 0.0, 0.0], [-1e308, 0.1, 0.0]])
+        for extra in (np.zeros((0, 3)), huge):
+            points = np.vstack([finite, NON_FINITE_ROWS, extra])
+            points = points[rng.permutation(len(points))]
+            got = fused(points)
+            alone = np.concatenate([fused(p[None]) for p in points])
+            bad = ~np.isfinite(points).all(axis=1)
+            assert _same_bits(got[~bad], alone[~bad])
+            np.testing.assert_array_equal(got[bad], alone[bad])
+        got = fused(np.vstack([finite, NON_FINITE_ROWS]))[len(finite):]
+        np.testing.assert_array_equal(
+            got, PARENT_VALUES[(blend, ellipsoid)]
+        )
+
+    @pytest.mark.parametrize("end", ["tail", "radius"])
+    @pytest.mark.parametrize("value", [_INF, -_INF, _NAN])
+    def test_non_finite_primitive(self, end, value):
+        # A primitive with a non-finite end or radius makes its bounds
+        # meaningless; no step may be culled on them.
+        rng = np.random.default_rng(13)
+        fused = _non_finite_field(0.05, True)
+        tails, radii = fused._b.copy(), fused._rb.copy()
+        if end == "tail":
+            tails[4, 0] = value
+        else:
+            radii[4] = abs(value)
+        broken = FusedCapsuleUnion(
+            heads=fused._a, tails=tails, radii_head=fused._ra,
+            radii_tail=radii, blend=0.05,
+            ellipsoid_center=fused._ell_center,
+            ellipsoid_radii=fused._ell_radii, backend="c",
+        )
+        points = _query_points(rng, fused, 200)
+        _assert_call_independent(broken, points, rng)
