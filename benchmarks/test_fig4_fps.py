@@ -73,8 +73,8 @@ def test_figure4_regenerates(fps_sweep, benchmark):
     fps = [results[r].fps for r in RESOLUTIONS]
     # Shape 1: FPS decreases monotonically with resolution.
     assert all(a > b for a, b in zip(fps, fps[1:])), fps
-    # Shape 2: everything is far below real time.
-    assert all(f < REALTIME_FPS / 3 for f in fps)
+    # Shape 2: every resolution is below the 30 FPS real-time bar.
+    assert all(f < REALTIME_FPS for f in fps)
     # Shape 3: the higher resolutions are below 1 FPS.
     assert fps[-1] < 1.0
     assert fps[-2] < 1.0

@@ -100,10 +100,9 @@ def _run_sequence(frames, resolution, warm_start, reference=False,
     }
 
 
-# Root grid of the "octree" rows.  Coarser than the root derived from
-# the resolution (32 above 64, the resolution itself at 64 and below):
-# the extra pruning level is where cold frames save evaluations — warm
-# frames already skip the root pass in both.
+# Root grid of the gaze-budgeted rows.  A budget's leaf depths count
+# from the root, so the foveated rows name theirs (the derived root is
+# 16 as well, and without a budget the root never changes the mesh).
 OCTREE_BASE = 16
 
 
@@ -129,9 +128,6 @@ def perf_sweep():
             "cold": _run_sequence(frames, resolution, False),
             "reference": _run_sequence(
                 frames, resolution, False, reference=True
-            ),
-            "octree": _run_sequence(
-                frames, resolution, True, octree_base=OCTREE_BASE
             ),
             "octree_fov": _run_sequence(
                 frames, resolution, True, octree_base=OCTREE_BASE,
@@ -334,16 +330,14 @@ def test_perf_batched_kernel_throughput(batch_sweep, benchmark):
 
 
 def test_perf_octree_extraction(perf_sweep, benchmark):
-    """Root-16 octree rows: strictly fewer field evaluations than the
-    warm rows on the derived root at every resolution, fewer still
-    with a gaze budget, all within Hausdorff tolerance of the derived-
-    root surface.
+    """Gaze-budgeted rows (root 16): strictly fewer field evaluations
+    than the unbudgeted warm rows at every resolution, within
+    Hausdorff tolerance of their surface.
 
     Sampled Hausdorff has a nonzero noise floor even for identical
-    meshes (independent sample draws), so tolerances are expressed as
-    that measured floor plus a geometric bound: one fine-cell spacing
-    for the full-depth octree, 1.5 peripheral-cell diagonals
-    (2**drop * spacing * sqrt(3)) when the gaze budget coarsens the
+    meshes (independent sample draws), so the tolerance is that
+    measured floor plus 1.5 peripheral-cell diagonals
+    (2**drop * spacing * sqrt(3)) where the gaze budget coarsens the
     out-of-cone region — the extra half diagonal absorbs trilinear
     under-resolution of blended capsule junctions at very coarse
     peripheral grids.
@@ -351,9 +345,8 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
     commit = current_commit()
     drop = _gaze_budget().peripheral_drop
     table = ExperimentTable(
-        title="Perf — octree root 16 (+ gaze) vs derived root",
-        columns=["resolution", "warm evals", "octree evals",
-                 "octree+gaze evals", "hausdorff (octree)",
+        title="Perf — octree + gaze (root 16) vs unbudgeted",
+        columns=["resolution", "warm evals", "octree+gaze evals",
                  "hausdorff (gaze)"],
         paper_note=(
             "coarse-to-fine octree, base 16; gaze cone caps depth "
@@ -363,35 +356,20 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
     records = []
     for resolution in RESOLUTIONS:
         runs = perf_sweep[resolution]
-        warm, octree, fov = (
-            runs["warm"], runs["octree"], runs["octree_fov"]
-        )
+        warm, fov = runs["warm"], runs["octree_fov"]
         uniform_mesh = warm["first_mesh"]
         spacing = 2.0 / resolution
         floor = hausdorff_distance(uniform_mesh, uniform_mesh)
-        hd_octree = hausdorff_distance(
-            uniform_mesh, octree["first_mesh"]
-        )
         hd_fov = hausdorff_distance(uniform_mesh, fov["first_mesh"])
 
-        assert octree["evaluations"] < warm["evaluations"], (
-            f"root {OCTREE_BASE} did not save field evaluations at "
-            f"resolution {resolution}: {octree['evaluations']} vs "
-            f"{warm['evaluations']} on the derived root"
-        )
-        assert fov["evaluations"] < octree["evaluations"], (
-            f"gaze budget did not save further evaluations at "
-            f"resolution {resolution}: {fov['evaluations']} vs "
-            f"{octree['evaluations']} unbudgeted octree"
+        assert fov["evaluations"] < warm["evaluations"], (
+            f"gaze budget did not save evaluations at resolution "
+            f"{resolution}: {fov['evaluations']} vs "
+            f"{warm['evaluations']} unbudgeted"
         )
         assert fov["cells_skipped_gaze"] > 0, (
             f"gaze budget never pruned a cell at resolution "
             f"{resolution}"
-        )
-        assert hd_octree <= floor + spacing, (
-            f"octree surface drifted {hd_octree:.4f} from uniform at "
-            f"resolution {resolution} (floor {floor:.4f}, "
-            f"spacing {spacing:.4f})"
         )
         fov_tol = 1.5 * (2 ** drop) * spacing * np.sqrt(3)
         assert hd_fov <= floor + fov_tol, (
@@ -399,25 +377,19 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
             f"resolution {resolution} (floor {floor:.4f})"
         )
 
-        for workload, run in (
-            ("reconstruct-octree", octree),
-            ("reconstruct-octree-foveated", fov),
-        ):
-            records.append(
-                BenchRecord(
-                    workload=workload,
-                    resolution=resolution,
-                    seconds=run["seconds"] / N_FRAMES,
-                    evaluations=run["evaluations"],
-                    commit=commit,
-                )
+        records.append(
+            BenchRecord(
+                workload="reconstruct-octree-foveated",
+                resolution=resolution,
+                seconds=fov["seconds"] / N_FRAMES,
+                evaluations=fov["evaluations"],
+                commit=commit,
             )
+        )
         table.add_row(
             str(resolution),
             f"{warm['evaluations']:,}",
-            f"{octree['evaluations']:,}",
             f"{fov['evaluations']:,}",
-            f"{hd_octree:.4f}",
             f"{hd_fov:.4f}",
         )
     table.show()

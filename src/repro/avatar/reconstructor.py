@@ -123,8 +123,11 @@ class KeypointMeshReconstructor:
             warm-starting is abandoned for the frame — dilating
             further would cost more than the root pass saves.
         octree_base: root-grid resolution of the extraction (depth 0);
-            ``None`` derives it from the resolution (see
-            :func:`repro.geometry.octree.level_schedule`).
+            ``None`` halves the resolution down to 16 cells per axis
+            (see :func:`repro.geometry.octree.level_schedule`).  Without
+            a gaze budget the root changes only the cost, never the
+            mesh; a budget's leaf depths count from the root, so gaze
+            tiers keep an explicit one.
     """
 
     resolution: int = 128

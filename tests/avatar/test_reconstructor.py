@@ -89,9 +89,8 @@ class TestKeypointMeshReconstructor:
         # The first reconstruct in a process pays one-time costs
         # (kernel load, template build); keep them out of the timings.
         KeypointMeshReconstructor(resolution=48).reconstruct(pose)
-        # r48 evaluates its whole grid, so it costs only ~10% less
-        # than r128: time both cold, alternating so each sees the same
-        # host load, and keep each resolution's fastest of five.
+        # Time both cold, alternating so each sees the same host load,
+        # and keep each resolution's fastest of five.
         runs = {48: [], 128: []}
         for _ in range(5):
             for resolution, results in runs.items():

@@ -14,8 +14,9 @@ delivered, decode_failed, corrupted, concealed, stale age, semantic
 level) and the frame's breakdown as sorted ``(stage, seconds)`` pairs.
 Mesh digests (the first 32 hex digits of the sha256 of the surface's
 vertex and face bytes, or of its points for a point cloud; ``None``
-when nothing was displayed) are kept per kernel backend, since C and
-NumPy meshes differ in vertex dust.
+when nothing was displayed) are kept per kernel backend; since the
+NumPy evaluator computes the C kernel's per-point expression, the two
+columns are the same.
 
 Regenerate with ``PYTHONPATH=src python -m tests.core.frozen_sessions``
 (set ``REPRO_DISABLE_C_KERNEL=1`` for the NumPy digests).
@@ -285,21 +286,21 @@ FROZEN_SESSIONS = {
                 "2f6a0e0a587b8448608de44e3814f374",
             ],
             "numpy": [
-                None, "8998288f38e4210e393cc9adb26fae1a",
-                "8998288f38e4210e393cc9adb26fae1a",
-                "8998288f38e4210e393cc9adb26fae1a",
-                "41da76ecd5a7b46a20cb3db90b515152",
-                "0e1a13b35ff3625aca39606b5a59dff6",
-                "c32c77e417fbffc872c530257651c3fb",
-                "7c928eff854168a6ff9ca9eb0d1c3107",
-                "0452180157d27c890781e9c050c7c86f",
-                "48308d7cfb15c99baa80a97ef8f8ea0b",
-                "c7867a4a2f0e782024bc576e25bc39ab",
-                "caff65d16c0906b1316a5f925e98dd4a",
-                "1ebc0493408557013a2f53b490fe8afa",
-                "006e6b8600624be3970ede35a0c2ea24",
-                "3710b07abde637869eee11c6171d76cb",
-                "99d6481a399eb527de396614204232ce",
+                None, "e3fc3e6f03efb221ab2c430ebe451544",
+                "e3fc3e6f03efb221ab2c430ebe451544",
+                "e3fc3e6f03efb221ab2c430ebe451544",
+                "c5272180b2a66acff837a760470ff453",
+                "32a99d9b1bfb96b82714734459972703",
+                "cfd1efab7e5e380439e26ffd5af54611",
+                "8cffc0220c0eea2ff65fe45423cebfa8",
+                "e20af2f0a79ac00acda10ac3956afbb9",
+                "bd2c7e6eceb748d94aa5d1865be39894",
+                "d6eaf3a24f87b78b23dbdc7143aefb18",
+                "91c315a515d02e3d8bf4f70c1bc44e2b",
+                "ed1ab237652e2642f91435debcd4a2d1",
+                "c2074d38e61336445c6287e31ce00690",
+                "0345b155f937203e6bb81ce9bd59f3b9",
+                "2f6a0e0a587b8448608de44e3814f374",
             ],
         },
     },
@@ -404,16 +405,16 @@ FROZEN_SESSIONS = {
                 "6528767c3aaf5effba5d162b528ad865",
             ],
             "numpy": [
-                None, "332e1a3b8a615e992b1e9a093fc6ff3c", None, None,
-                "7f5fcb42a219e01c0eed0f70162db7d3", None,
-                "1ef6d347fe7ec77b5c5b8292a3876ae1",
-                "4d60651c6f3d3c3da623558f54789408",
-                "265fe00eb091326aec855201563eda21", None,
-                "c9932e43e068737fd61aeaf95c0fde70",
-                "72ffb36efc66e161e7f9e550ef6fd502",
-                "1b10eab68031ed7f2cbe708a82fbe6a2", None,
-                "e54a04b54ff9d4f106da595de3123f99",
-                "cb1ef74744f5f2214241e42d2a64ad9d",
+                None, "fea33fd04175c6aeb1695b12ecfa1c92", None, None,
+                "301a65a7ceaac167c27cc531b94af2ac", None,
+                "4c1ad529eb9a2ed7b8cf0488d778ac71",
+                "7db7ec945a5cc76f7ef18b5c14a76a14",
+                "5b4f1e04c1859cf718f132d7f746da6b", None,
+                "c9f64ae984be0c933d6bd4257b5f6626",
+                "70e67defdb697e0f0452d5d059031c73",
+                "3cbfc5dfd055b40e15c65b8737dd0457", None,
+                "4a435e17de826d340408fb130d06a3da",
+                "6528767c3aaf5effba5d162b528ad865",
             ],
         },
     },
@@ -512,14 +513,14 @@ FROZEN_MEETING = {
         "pairs": [
             ("user0", "user1", 3, 3, 0.0501300392713993, 785.3333333333334),
             ("user0", "user2", 3, 3, 0.05071037233143317, 785.3333333333334),
-            ("user1", "user0", 3, 3, 0.05183598675936079, 788.0),
-            ("user1", "user2", 3, 3, 0.05082051659779337, 788.0),
+            ("user1", "user0", 3, 3, 0.051835560092694126, 786.6666666666666),
+            ("user1", "user2", 3, 3, 0.05082008993112671, 786.6666666666666),
             ("user2", "user0", 3, 3, 0.05050896808486823, 793.3333333333334),
             ("user2", "user1", 3, 3, 0.04989648134903899, 793.3333333333334),
         ],
         "uplink_mbps": {
             "user0": 0.39616,
-            "user1": 0.39744,
+            "user1": 0.3968,
             "user2": 0.4,
         },
         "interactive_fraction": 1.0,

@@ -231,9 +231,12 @@ class TestFoveatedPipeline:
 
     def test_octree_periphery_saves_evaluations(self, talking_ds):
         """With a peripheral depth drop, the same gaze cone that selects
-        the foveal submesh caps octree depth outside it."""
+        the foveal submesh caps octree depth outside it.  Both sides
+        refine from the budgeted pipeline's root of 32, so the saving
+        is the depth cap's alone."""
         dense = FoveatedHybridPipeline(
-            foveal_radius_degrees=12.0, peripheral_resolution=64
+            foveal_radius_degrees=12.0, peripheral_resolution=64,
+            octree_base=32,
         )
         assert dense.reconstructor.depth_budget is None
         octree = FoveatedHybridPipeline(

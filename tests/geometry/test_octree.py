@@ -82,12 +82,16 @@ class TestLevelSchedule:
         assert level_schedule(24, 32) == (24,)
 
     def test_derived_root(self):
-        # Up to 64 the root is the resolution itself (one dense pass);
-        # above it the schedule starts at 32.
+        # Halve while above 16 and even: the root is the resolution
+        # itself at 16 and below, and at most 16 above it.
+        assert level_schedule(12) == (12,)
         assert level_schedule(16) == (16,)
-        assert level_schedule(64) == (64,)
-        assert level_schedule(96) == (24, 48, 96)
-        assert level_schedule(256) == (32, 64, 128, 256)
+        assert level_schedule(24) == (12, 24)
+        assert level_schedule(48) == (12, 24, 48)
+        assert level_schedule(64) == (16, 32, 64)
+        assert level_schedule(96) == (12, 24, 48, 96)
+        assert level_schedule(100) == (25, 50, 100)
+        assert level_schedule(256) == (16, 32, 64, 128, 256)
 
 
 BACKENDS = ("c", "numpy") if kernel_available() else ("numpy",)
@@ -110,8 +114,8 @@ class TestUniformDepthBitIdentity:
                 f"body-r{resolution}-base32", mesh,
                 stats.field_evaluations, backend=backend,
             )
-            # The derived root (32 above 64, one dense pass up to it)
-            # changes the schedule, never the uniform-depth mesh.
+            # The derived root (16) changes the schedule, never the
+            # uniform-depth mesh.
             derived = extract_surface_octree(shape, BOUNDS, resolution)
             assert_frozen(
                 f"body-r{resolution}-base32", derived, backend=backend
@@ -124,7 +128,9 @@ class TestUniformDepthBitIdentity:
             s, BOUNDS, 64, iso=0.1, stats=stats
         )
         assert_frozen("sphere-r64-iso0.1", octree, stats.field_evaluations)
-        assert stats.field_evaluations == 65 ** 3
+        # The dense pass over the whole grid (the root before it was
+        # derived as 16) evaluated 65 ** 3 corners for the same mesh.
+        assert stats.field_evaluations < 65 ** 3 // 4
 
 
 class TestMixedDepthBitIdentity:
