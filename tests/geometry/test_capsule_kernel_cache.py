@@ -135,9 +135,11 @@ class TestBatchThreads:
 @needs_kernel
 class TestLoadedKernelShape:
     def test_both_entry_points_present(self):
-        """Every entry point: solo, batch and polygonise."""
+        """Every entry point: solo, the level pass, batch and
+        polygonise."""
         kernel = compiled_capsule_kernel()
         assert kernel.solo is not None
+        assert all(fn is not None for fn in kernel.level)
         assert kernel.batch is not None
         assert kernel.polygonise is not None
 
