@@ -88,7 +88,7 @@ def test_ablation_latency_budget(latency_rows, benchmark):
     assert keypoint.mean_end_to_end > INTERACTIVE_BUDGET
 
     # The temporal variant recovers a further fraction of the gap on
-    # top of the warm-started per-frame baseline.  Its mean still
+    # top of the per-frame baseline.  Its mean still
     # includes the periodic full keyframes (how many fire depends on
     # fit jitter), so assert a modest-but-robust improvement on the
     # mean; the order-of-magnitude warp-frame win is asserted in

@@ -1,16 +1,14 @@
-"""Perf: fused capsule kernel + temporal warm-start (the hot path).
+"""Perf: the fused capsule kernel and gaze-budgeted octree (the hot path).
 
 Figure 4's bottleneck is implicit-field mesh reconstruction.  This
-suite measures the two optimisations that attack it — the fused
-batched capsule kernel (vs the reference closure chain, installed
-through the reconstructor's ``field_hook``) and warm-starting
-extraction from the previous frame's leaf set — and persists the
-numbers to ``BENCH_reconstruction.json`` at the repo root so speedups
-are diffable across commits.
+suite measures what attacks it — the fused batched capsule kernel (vs
+the reference closure chain, installed through the reconstructor's
+``field_hook``) and the gaze depth budget — and persists the numbers
+to ``BENCH_reconstruction.json`` at the repo root so speedups are
+diffable across commits.
 
-Both optimisations are exact: fused-vs-reference agreement is asserted
-to 1e-9 on randomised poses, and warm-started frames must produce
-array-identical meshes to a cold start.
+The fused kernel is exact: fused-vs-reference agreement is asserted to
+1e-9 on randomised poses.
 
 Environment knobs:
     REPRO_BENCH_QUICK: cap the sweep at resolution 128 (CI smoke).
@@ -19,7 +17,6 @@ Environment knobs:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
@@ -58,45 +55,37 @@ else:
 SPEEDUP_FLOOR = {64: 1.0, 128: 1.0, 256: 5.0, 512: 5.0}
 
 
-def _mesh_digest(mesh) -> str:
-    """A bitwise fingerprint — equal digests mean identical meshes."""
-    blob = hashlib.sha256()
-    blob.update(np.ascontiguousarray(mesh.vertices).tobytes())
-    blob.update(np.ascontiguousarray(mesh.faces).tobytes())
-    return blob.hexdigest()
-
-
-def _run_sequence(frames, resolution, warm_start, reference=False,
+def _run_sequence(frames, resolution, reference=False,
                   octree_base=None, budget=None):
-    """Total seconds / evaluations / mesh digests over a sequence.
+    """Total seconds / evaluations over a sequence.
 
-    Meshes are reduced to digests immediately so the module-scoped
-    sweep never holds dozens of large meshes alive — the memory
-    pressure measurably slows later timed runs.  Only the first
-    frame's mesh is kept, for the octree surface-error comparison.
+    Meshes are dropped as they come so the module-scoped sweep never
+    holds dozens of large meshes alive — the memory pressure measurably
+    slows later timed runs.  Only the first frame's mesh is kept, for
+    the octree surface-error comparison.
     """
     reconstructor = KeypointMeshReconstructor(
-        resolution=resolution, warm_start=warm_start,
-        octree_base=octree_base,
+        resolution=resolution, octree_base=octree_base
     )
     if reference:
         reconstructor.field_hook = reference_field
     if budget is not None:
         reconstructor.set_depth_budget(budget)
-    results = []
+    evaluations = skipped = 0
+    first_mesh = None
     start = perf_counter()
     for frame in frames:
-        results.append(reconstructor.reconstruct(pose=frame.pose))
+        result = reconstructor.reconstruct(pose=frame.pose)
+        evaluations += result.field_evaluations
+        skipped += result.cells_skipped_gaze
+        if first_mesh is None:
+            first_mesh = result.mesh
     seconds = perf_counter() - start
     return {
         "seconds": seconds,
-        "evaluations": sum(r.field_evaluations for r in results),
-        "digests": [_mesh_digest(r.mesh) for r in results],
-        "warm_flags": [r.warm_started for r in results],
-        "first_mesh": results[0].mesh,
-        "cells_skipped_gaze": sum(
-            r.cells_skipped_gaze for r in results
-        ),
+        "evaluations": evaluations,
+        "first_mesh": first_mesh,
+        "cells_skipped_gaze": skipped,
     }
 
 
@@ -124,13 +113,12 @@ def perf_sweep():
     sweep = {}
     for resolution in RESOLUTIONS:
         sweep[resolution] = {
-            "warm": _run_sequence(frames, resolution, True),
-            "cold": _run_sequence(frames, resolution, False),
+            "cold": _run_sequence(frames, resolution),
             "reference": _run_sequence(
-                frames, resolution, False, reference=True
+                frames, resolution, reference=True
             ),
             "octree_fov": _run_sequence(
-                frames, resolution, True, octree_base=OCTREE_BASE,
+                frames, resolution, octree_base=OCTREE_BASE,
                 budget=_gaze_budget(),
             ),
         }
@@ -157,16 +145,15 @@ def test_fused_matches_reference_randomized(benchmark):
 
 
 def test_perf_reconstruction_sweep(perf_sweep, benchmark):
-    """The headline numbers: per-resolution timings of warm / cold /
-    reference over a talking sequence, persisted to BENCH_*.json."""
+    """The headline numbers: per-resolution timings of the fused and
+    reference fields over a talking sequence, persisted to
+    BENCH_*.json."""
     commit = current_commit()
     table = ExperimentTable(
-        title="Perf — fused kernel + warm start vs reference",
-        columns=["resolution", "reference s", "fused cold s",
-                 "fused warm s", "speedup (ref/warm)", "fps (warm)"],
-        paper_note=(
-            "Figure 4's hot path; fused + warm start, identical output"
-        ),
+        title="Perf — fused kernel vs reference",
+        columns=["resolution", "reference s", "fused s",
+                 "speedup (ref/fused)", "fps (fused)"],
+        paper_note="Figure 4's hot path; fused kernel, identical output",
     )
     records = []
     for resolution in RESOLUTIONS:
@@ -174,7 +161,6 @@ def test_perf_reconstruction_sweep(perf_sweep, benchmark):
         for workload, run in (
             ("reconstruct-reference", runs["reference"]),
             ("reconstruct-cold", runs["cold"]),
-            ("reconstruct-warm", runs["warm"]),
         ):
             assert run["evaluations"] > 0, (workload, resolution)
             records.append(
@@ -186,23 +172,22 @@ def test_perf_reconstruction_sweep(perf_sweep, benchmark):
                     commit=commit,
                 )
             )
-        speedup = runs["reference"]["seconds"] / runs["warm"]["seconds"]
+        speedup = runs["reference"]["seconds"] / runs["cold"]["seconds"]
         table.add_row(
             str(resolution),
             f"{runs['reference']['seconds'] / N_FRAMES:.3f}",
             f"{runs['cold']['seconds'] / N_FRAMES:.3f}",
-            f"{runs['warm']['seconds'] / N_FRAMES:.3f}",
             f"{speedup:.2f}x",
-            f"{safe_rate(runs['warm']['seconds'] / N_FRAMES):.2f}",
+            f"{safe_rate(runs['cold']['seconds'] / N_FRAMES):.2f}",
         )
     table.show()
     write_records(BENCH_PATH, records)
 
     for resolution in RESOLUTIONS:
         runs = perf_sweep[resolution]
-        speedup = runs["reference"]["seconds"] / runs["warm"]["seconds"]
+        speedup = runs["reference"]["seconds"] / runs["cold"]["seconds"]
         assert speedup >= SPEEDUP_FLOOR[resolution], (
-            f"fused+warm only {speedup:.2f}x faster than the reference "
+            f"fused only {speedup:.2f}x faster than the reference "
             f"closure chain at resolution {resolution}"
         )
     register(benchmark, table.render)
@@ -331,7 +316,7 @@ def test_perf_batched_kernel_throughput(batch_sweep, benchmark):
 
 def test_perf_octree_extraction(perf_sweep, benchmark):
     """Gaze-budgeted rows (root 16): strictly fewer field evaluations
-    than the unbudgeted warm rows at every resolution, within
+    than the unbudgeted cold rows at every resolution, within
     Hausdorff tolerance of their surface.
 
     Sampled Hausdorff has a nonzero noise floor even for identical
@@ -346,7 +331,7 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
     drop = _gaze_budget().peripheral_drop
     table = ExperimentTable(
         title="Perf — octree + gaze (root 16) vs unbudgeted",
-        columns=["resolution", "warm evals", "octree+gaze evals",
+        columns=["resolution", "cold evals", "octree+gaze evals",
                  "hausdorff (gaze)"],
         paper_note=(
             "coarse-to-fine octree, base 16; gaze cone caps depth "
@@ -356,16 +341,16 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
     records = []
     for resolution in RESOLUTIONS:
         runs = perf_sweep[resolution]
-        warm, fov = runs["warm"], runs["octree_fov"]
-        uniform_mesh = warm["first_mesh"]
+        cold, fov = runs["cold"], runs["octree_fov"]
+        uniform_mesh = cold["first_mesh"]
         spacing = 2.0 / resolution
         floor = hausdorff_distance(uniform_mesh, uniform_mesh)
         hd_fov = hausdorff_distance(uniform_mesh, fov["first_mesh"])
 
-        assert fov["evaluations"] < warm["evaluations"], (
+        assert fov["evaluations"] < cold["evaluations"], (
             f"gaze budget did not save evaluations at resolution "
             f"{resolution}: {fov['evaluations']} vs "
-            f"{warm['evaluations']} unbudgeted"
+            f"{cold['evaluations']} unbudgeted"
         )
         assert fov["cells_skipped_gaze"] > 0, (
             f"gaze budget never pruned a cell at resolution "
@@ -388,27 +373,10 @@ def test_perf_octree_extraction(perf_sweep, benchmark):
         )
         table.add_row(
             str(resolution),
-            f"{warm['evaluations']:,}",
+            f"{cold['evaluations']:,}",
             f"{fov['evaluations']:,}",
             f"{hd_fov:.4f}",
         )
     table.show()
     write_records(BENCH_PATH, records)
     register(benchmark, table.render)
-
-
-def test_warm_start_is_exact(perf_sweep, benchmark):
-    """Warm-started frames reproduce the cold-start meshes bit for bit
-    while evaluating the field strictly less."""
-    for resolution in RESOLUTIONS:
-        runs = perf_sweep[resolution]
-        warm, cold = runs["warm"], runs["cold"]
-        assert warm["digests"] == cold["digests"], (
-            f"warm-started meshes differ from cold start at "
-            f"resolution {resolution}"
-        )
-        assert any(warm["warm_flags"][1:]), (
-            f"warm start never engaged at resolution {resolution}"
-        )
-        assert warm["evaluations"] < cold["evaluations"]
-    register(benchmark, lambda: RESOLUTIONS)

@@ -60,7 +60,7 @@ def _run_pool(streams, workers: int) -> dict:
 
     Frames are submitted tick by tick (all streams' frame i before any
     frame i+1) — the serving engine's schedule — and results are
-    collected per tick so warm starts stay per-stream exact.
+    collected per tick.
     """
     busy = [0.0] * workers
     evaluations = 0

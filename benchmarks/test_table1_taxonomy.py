@@ -104,12 +104,11 @@ def taxonomy_rows(bench_model, bench_talking):
     rows = {}
     # Table 1 rates the *surveyed* state of the art — X-Avatar style
     # per-frame implicit reconstruction — so the keypoint row measures
-    # the reference field/cascade, not this repo's fused+warm-start
-    # fast path (whose gains are quantified in
-    # test_perf_reconstruction.py instead).
+    # the reference field, not this repo's fused-kernel fast path
+    # (whose gains are quantified in test_perf_reconstruction.py
+    # instead).
     keypoint_pipe = KeypointSemanticPipeline(resolution=128)
     keypoint_pipe.reconstructor.field_hook = reference_field
-    keypoint_pipe.reconstructor.warm_start = False
     rows["keypoint"] = _run_pipeline(
         keypoint_pipe,
         bench_talking,

@@ -5,22 +5,19 @@ mesh out, at a configurable voxel resolution (the paper's 128 / 256 /
 512 / 1024 knob).  Reconstruction cost grows steeply with resolution —
 this is the code whose FPS Figure 4 plots.
 
-Three optimisations keep the hot path fast without changing its
-output: the implicit field is evaluated through the fused capsule
-kernel (:class:`repro.geometry.sdf.FusedCapsuleUnion`); consecutive
-frames of a motion sequence warm-start surface extraction from the
-previous frame's leaf set dilated by the inter-frame motion bound, so
-static body regions skip the coarse-to-fine refinement entirely; and a
-frame already refined under a finer gaze budget is polygonised from
-that refinement's record without evaluating the field again.
+Reconstruction is a pure function of the transmitted parameters, the
+configuration and the gaze budget: no state carries from one frame to
+the next.  Two optimisations keep it fast without changing its output:
+the implicit field is evaluated through the fused capsule kernel
+(:class:`repro.geometry.sdf.FusedCapsuleUnion`), and a frame already
+refined under a finer gaze budget is polygonised from that
+refinement's record without evaluating the field again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from repro.obs.clock import perf_counter
 from repro.obs.registry import get_registry
@@ -40,7 +37,6 @@ from repro.geometry.octree import (  # noqa: F401
     derive_surface,
     extract_surface,
     extract_surface_octree,
-    warm_seeds,
 )
 
 __all__ = ["ReconstructionResult", "KeypointMeshReconstructor",
@@ -65,8 +61,7 @@ class ReconstructionResult:
         field_evaluations: number of implicit-field (SDF) point
             evaluations the reconstruction performed (0 for frames that
             never query the field, e.g. temporal warps).
-        warm_started: whether extraction was seeded from the previous
-            frame's leaf set instead of the dense root pass.
+        warm_started: always False (there is no warm start).
         cells_refined: cells subdivided across all refinement levels.
         cells_skipped_gaze: straddling cells the gaze LOD budget
             stopped early (0 without a budget).
@@ -86,6 +81,7 @@ class ReconstructionResult:
     resolution: int
     seconds: float
     field_evaluations: int = 0
+    # Always False: perfbench/layers.py reads it under --trace 1.
     warm_started: bool = False
     cells_refined: int = 0
     cells_skipped_gaze: int = 0
@@ -112,16 +108,6 @@ class KeypointMeshReconstructor:
             expression channels are lost).  Raise it to study the
             quality/overhead trade-off (§3.1).
         blend: capsule smooth-union radius of the implicit field.
-        warm_start: seed each frame's surface extraction from the
-            previous frame's leaf set — every leaf that may hold
-            surface — dilated by the inter-frame motion bound.  The
-            seed covers every cell the new surface can cross, so the
-            output mesh is identical to a cold start; frames whose
-            motion is too large (or whose expression changed) fall
-            back to a cold start automatically.
-        max_seed_dilation: motion bound (in cells) beyond which
-            warm-starting is abandoned for the frame — dilating
-            further would cost more than the root pass saves.
         octree_base: root-grid resolution of the extraction (depth 0);
             ``None`` halves the resolution down to 16 cells per axis
             (see :func:`repro.geometry.octree.level_schedule`).  Without
@@ -133,8 +119,6 @@ class KeypointMeshReconstructor:
     resolution: int = 128
     expression_channels: int = 0
     blend: float = 0.035
-    warm_start: bool = True
-    max_seed_dilation: int = 3
     octree_base: Optional[int] = None
 
     #: per-frame gaze LOD policy; install with
@@ -153,23 +137,11 @@ class KeypointMeshReconstructor:
         default=None, init=False, repr=False, compare=False
     )
 
-    _prev_stats: Optional[ExtractionStats] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _prev_anchors: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _prev_expression: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     def __post_init__(self) -> None:
         if self.resolution < 8:
             raise PipelineError("resolution must be at least 8")
         if self.expression_channels < 0:
             raise PipelineError("expression_channels must be >= 0")
-        if self.max_seed_dilation < 0:
-            raise PipelineError("max_seed_dilation must be >= 0")
         if self.octree_base is not None:
             if self.octree_base < 2:
                 raise PipelineError("octree_base must be at least 2")
@@ -190,12 +162,6 @@ class KeypointMeshReconstructor:
         share pool job configs).
         """
         self.depth_budget = budget
-
-    def reset(self) -> None:
-        """Drop warm-start state (e.g. at a scene cut or new speaker)."""
-        self._prev_stats = None
-        self._prev_anchors = None
-        self._prev_expression = None
 
     def reconstruct(
         self,
@@ -236,15 +202,6 @@ class KeypointMeshReconstructor:
             blend=self.blend,
         )
         lo, hi = fld.bounds()
-        anchors = self._field_anchors(fld)
-        expr_key = (
-            None
-            if usable_expression is None
-            else np.asarray(
-                usable_expression.coefficients, dtype=np.float64
-            ).copy()
-        )
-
         stats = ExtractionStats()
         mesh = None
         if refinement is not None:
@@ -257,54 +214,22 @@ class KeypointMeshReconstructor:
                 stats=stats,
             )
         derived = mesh is not None
-        evaluations = 0
-        warm = False
         if not derived:
-            fld_eval = (
-                fld if self.field_hook is None else self.field_hook(fld)
-            )
-            seed_leaves = (
-                self._seed_leaves(lo, hi, anchors, expr_key)
-                if self.warm_start
-                else None
-            )
             mesh = extract_surface_octree(
-                fld_eval,
+                fld if self.field_hook is None else self.field_hook(fld),
                 (lo, hi),
                 self.resolution,
                 base_resolution=self.octree_base,
                 budget=self.depth_budget,
-                seed_leaves=seed_leaves,
                 stats=stats,
             )
-            evaluations = stats.field_evaluations
-            warm = stats.warm_started
-            if warm and mesh.num_faces == 0:
-                # The seed missed the surface (should not happen within
-                # the dilation bound, but never trade a frame for the
-                # shortcut).
-                stats = ExtractionStats()
-                mesh = extract_surface_octree(
-                    fld_eval,
-                    (lo, hi),
-                    self.resolution,
-                    base_resolution=self.octree_base,
-                    budget=self.depth_budget,
-                    stats=stats,
-                )
-                evaluations += stats.field_evaluations
-                warm = False
-        # The warm-start state keeps the leaf set, not the record.
-        kept, stats.refinement = stats.refinement, None
+        evaluations = stats.field_evaluations
         seconds = perf_counter() - start
         if mesh.num_faces == 0:
             raise PipelineError(
                 "reconstruction produced an empty mesh "
                 f"(resolution {self.resolution})"
             )
-        self._prev_stats = stats
-        self._prev_anchors = anchors
-        self._prev_expression = expr_key
         registry = get_registry()
         registry.inc("avatar.reconstructions")
         registry.inc("avatar.field_evaluations", evaluations)
@@ -312,15 +237,12 @@ class KeypointMeshReconstructor:
         registry.inc(
             "session.extract.cells_skipped_gaze", stats.cells_skipped_gaze
         )
-        if stats.leaf_depths is not None and len(stats.leaf_depths):
+        if stats.selection.leaves:
             histogram = registry.histogram(
                 "session.extract.depth", buckets=_DEPTH_BUCKETS
             )
-            depths, counts = np.unique(
-                stats.leaf_depths, return_counts=True
-            )
-            for depth, count in zip(depths, counts):
-                histogram.observe(float(depth), int(count))
+            for depth, cells, _, _ in stats.selection.leaves:
+                histogram.observe(float(depth), len(cells))
         extract_spans = tuple(
             {**span, "kind": KIND_EXTRACT} for span in stats.level_spans
         )
@@ -329,54 +251,9 @@ class KeypointMeshReconstructor:
             resolution=self.resolution,
             seconds=seconds,
             field_evaluations=evaluations,
-            warm_started=warm,
             cells_refined=stats.cells_refined,
             cells_skipped_gaze=stats.cells_skipped_gaze,
             extract_spans=extract_spans,
             derived=derived,
-            refinement=kept if keep_refinement else None,
-        )
-
-    @staticmethod
-    def _field_anchors(fld: PosedBodyField) -> np.ndarray:
-        """Every point whose motion moves the field: segment endpoints
-        plus the cranium centre."""
-        heads = np.array([seg[1] for seg in fld.segments])
-        tails = np.array([seg[2] for seg in fld.segments])
-        return np.vstack([heads, tails, fld._head_center[None]])
-
-    def _seed_leaves(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        anchors: np.ndarray,
-        expr_key: Optional[np.ndarray],
-    ) -> Optional[list]:
-        """Warm seeds from the previous frame, or ``None`` for a cold
-        start (first frame, expression change, grid mismatch, or
-        too-large motion; see :func:`repro.geometry.octree.
-        warm_seeds`)."""
-        prev = self._prev_stats
-        if (
-            prev is None
-            or self._prev_anchors is None
-            or self._prev_anchors.shape != anchors.shape
-        ):
-            return None
-        if (expr_key is None) != (self._prev_expression is None):
-            return None
-        if expr_key is not None and not np.array_equal(
-            expr_key, self._prev_expression
-        ):
-            return None
-        return warm_seeds(
-            prev,
-            (lo, hi),
-            self.resolution,
-            self.octree_base,
-            motion=float(
-                np.linalg.norm(anchors - self._prev_anchors, axis=1).max()
-            ),
-            budget=self.depth_budget,
-            max_dilation=self.max_seed_dilation,
+            refinement=stats.refinement if keep_refinement else None,
         )

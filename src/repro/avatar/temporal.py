@@ -74,17 +74,16 @@ class TemporalReconstructor:
         self.warps = 0
 
     def reset(self) -> None:
-        """Drop the cached keyframe and the base's warm-start state."""
+        """Drop the cached keyframe."""
         self.__post_init__()
-        self.base.reset()
 
     def set_depth_budget(self, budget) -> None:
         """Install a gaze depth budget on the base reconstructor.
 
         Keyframes run the base's full extraction, so the base picks
-        the budget up there (and its leaf set seeds the next
-        keyframe); warps re-pose the cached mesh and never query the
-        field, so the budget has nothing to do between keyframes.
+        the budget up there; warps re-pose the cached mesh and never
+        query the field, so the budget has nothing to do between
+        keyframes.
         """
         self.base.set_depth_budget(budget)
 
@@ -165,5 +164,4 @@ class TemporalReconstructor:
             resolution=self.base.resolution,
             seconds=seconds,
             field_evaluations=0,
-            warm_started=False,
         )

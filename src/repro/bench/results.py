@@ -44,7 +44,7 @@ class BenchRecord:
 
     Attributes:
         workload: what was measured ("reconstruct-cold",
-            "reconstruct-warm", "reconstruct-reference", ...).
+            "reconstruct-reference", "reconstruct-octree-foveated", ...).
         resolution: voxel resolution per axis.
         seconds: wall-clock seconds per run.
         evaluations: implicit-field point evaluations performed.

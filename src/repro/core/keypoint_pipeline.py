@@ -138,9 +138,10 @@ class KeypointSemanticPipeline(HolographicPipeline):
     def reset(self) -> None:
         self.tracker.reset()
         self.pose_smoother.reset()
-        # Both reconstructor flavours carry inter-frame state now: the
-        # temporal wrapper its keyframe, the base its warm-start seed.
-        self.reconstructor.reset()
+        if self._temporal:
+            # The keyframe is the only receiver state: the per-frame
+            # reconstructor keeps none.
+            self.reconstructor.reset()
         self._reset_concealment()
         self._rng = np.random.default_rng(self._seed)
 
@@ -212,7 +213,6 @@ class KeypointSemanticPipeline(HolographicPipeline):
             metadata={
                 "resolution": self.resolution,
                 "field_evaluations": result.field_evaluations,
-                "warm_started": result.warm_started,
             },
         )
 

@@ -535,10 +535,10 @@ void capsule_union_sdf_batch(
 
    level_gather reads each cell's 8 corner values (cube: the corner
    offsets in _CUBE_CORNERS order) and _classify's flags: straddling
-   (min <= iso <= max), active (or the nearer extreme within a cell
-   diagonal of iso) and seedable (within half of one).  NaN propagates
-   through np.minimum / np.maximum, so a NaN corner clears all three.
-   flags holds the three (m,) masks one after another.  */
+   (min <= iso <= max) and active (or the nearer extreme within a cell
+   diagonal of iso).  NaN propagates through np.minimum / np.maximum,
+   so a NaN corner clears both.  flags holds the two (m,) masks one
+   after the other.  */
 static void corner_offsets(const int64_t *box, const int64_t *cube,
                            int64_t *off)
 {
@@ -608,8 +608,7 @@ void level_gather(
     int64_t off[8];
     corner_offsets(box, cube, off);
     const double diagonal = spacing * sqrt(3.0);
-    const double half = 0.5 * diagonal;
-    uint8_t *strad = flags, *active = flags + m, *seed = flags + 2 * m;
+    uint8_t *strad = flags, *active = flags + m;
     for (int64_t i = 0; i < m; ++i) {
         const int64_t base = box_base(cells + 3*i, box);
         double *v = corner_values + 8 * i;
@@ -618,7 +617,7 @@ void level_gather(
             v[c] = values[rank[base + off[c]]];
             nan |= v[c] != v[c];
         }
-        strad[i] = active[i] = seed[i] = 0;
+        strad[i] = active[i] = 0;
         if (nan) continue;
         double vmin = v[0], vmax = v[0];
         for (int c = 1; c < 8; ++c) {
@@ -632,7 +631,6 @@ void level_gather(
         const int s = vmin <= iso && vmax >= iso;
         strad[i] = (uint8_t)s;
         active[i] = (uint8_t)(s || gap <= diagonal);
-        seed[i] = (uint8_t)(s || gap <= half);
     }
 }
 

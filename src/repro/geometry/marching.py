@@ -8,8 +8,8 @@ extracting the zero level set.  The extractor itself —
 only one — refines coarse-to-fine and evaluates only cells near the
 surface, so cost grows roughly with the square of resolution,
 reproducing the paper's Figure 4 scaling.  This module holds what it
-is built from: corner evaluation with deduplication, warm-start cell
-remapping, and polygonisation.
+is built from: corner evaluation with deduplication, cell
+classification, and polygonisation.
 
 We use marching *tetrahedra* (each cube split into 6 tets) rather than
 classic marching cubes: a tet's 4 corner signs select one of 16 cases
@@ -39,46 +39,27 @@ from repro.geometry.mesh import TriangleMesh
 __all__ = [
     "marching_tetrahedra",
     "ExtractionStats",
-    "dilate_cells",
-    "remap_cells",
 ]
 
 
 @dataclass
 class ExtractionStats:
-    """Observability and warm-start state from one extraction.
+    """Observability from one extraction.
 
     Pass a fresh instance to :func:`repro.geometry.octree.
     extract_surface_octree` via ``stats=`` and it is filled in place:
-    how many SDF evaluations the extraction actually performed, whether
-    it ran from a warm seed, and the leaf set (with its grid frame) that
-    a subsequent frame can use as its seed.
+    how many SDF evaluations the extraction performed, the leaves it
+    polygonised and how long each step took.
     """
 
     field_evaluations: int = 0
-    warm_started: bool = False
     #: (M, 3) integer coords of finest-level cells straddling the iso
     #: level, or None when the extraction produced no surface.
     surface_cells: Optional[np.ndarray] = None
-    #: world position of grid corner (0, 0, 0) for ``surface_cells``.
-    origin: np.ndarray = field(
-        default_factory=lambda: np.zeros(3)
-    )
-    #: finest-level cell edge length for ``surface_cells``.
-    spacing: float = 0.0
-    #: finest-level cells per axis.
-    resolution: int = 0
-    #: (L, 3) cell coords of every retained leaf that may hold surface
-    #: — straddling the iso level, or with a corner value within half
-    #: a cell diagonal of it — each on the grid of its own depth (see
-    #: ``leaf_depths`` / ``leaf_levels``).  A surface thinner than a
-    #: cell can pass between a cell's corners, so these are what a
-    #: warm start must seed from, not only the straddling leaves.
-    leaf_cells: Optional[np.ndarray] = None
-    #: (L,) refinement depth of each leaf cell.
-    leaf_depths: Optional[np.ndarray] = None
-    #: cells per axis at each depth (index = depth).
-    leaf_levels: Optional[tuple] = None
+    #: the :class:`repro.geometry.octree.LeafSelection` polygonised:
+    #: one ``(depth, cells, corner_values, straddling)`` group per
+    #: depth its leaves stop at.
+    selection: Optional[object] = None
     #: cells subdivided into children across all levels.
     cells_refined: int = 0
     #: straddling cells the gaze LOD policy stopped early.
@@ -299,111 +280,13 @@ def marching_tetrahedra(
     )
 
 
-def dilate_cells(
-    cells: np.ndarray, dilation: int, resolution
-) -> np.ndarray:
-    """Grow a cell set by a Chebyshev (L-inf) ball of radius ``dilation``.
-
-    Used to widen a previous frame's leaf cells by the inter-frame
-    motion bound before seeding a warm-start extraction.  Cells are
-    clipped to ``[0, resolution)`` and deduplicated; the result is
-    sorted by linear grid index.  ``resolution`` may be a scalar or a
-    per-axis ``(3,)`` array — octree warm-start seeding clips against
-    the grid of each refinement depth, which need not be the finest
-    (or even a cubic) grid.  A negative ``dilation`` raises
-    :class:`GeometryError`.
-    """
-    if dilation < 0:
-        raise GeometryError(f"dilation must be >= 0, got {dilation}")
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-    resolution = np.broadcast_to(
-        np.asarray(resolution, dtype=np.int64), (3,)
-    )
-    if not len(cells):
-        return cells
-    cells = np.clip(cells, 0, resolution - 1)
-    # Work in a boolean volume cropped to the seed bounding box: axis-
-    # shifted slice ORs dilate without any sorting, and np.argwhere
-    # returns the result already in linear-index order.
-    lo = np.maximum(cells.min(axis=0) - dilation, 0)
-    hi = np.minimum(cells.max(axis=0) + dilation + 1, resolution)
-    volume = np.zeros(hi - lo, dtype=bool)
-    local = cells - lo
-    volume[local[:, 0], local[:, 1], local[:, 2]] = True
-    # One sweep per axis per iteration; composing the three axis sweeps
-    # yields the full 3x3x3 neighbourhood, so ``dilation`` iterations
-    # cover the L-inf ball of that radius.
-    for _ in range(dilation):
-        for axis in range(3):
-            grown = volume.copy()
-            ahead = [slice(None)] * 3
-            behind = [slice(None)] * 3
-            ahead[axis] = slice(1, None)
-            behind[axis] = slice(None, -1)
-            grown[tuple(ahead)] |= volume[tuple(behind)]
-            grown[tuple(behind)] |= volume[tuple(ahead)]
-            volume = grown
-    return np.argwhere(volume) + lo
-
-
-def remap_cells(
-    cells: np.ndarray,
-    src_origin: np.ndarray,
-    src_spacing: float,
-    dst_origin: np.ndarray,
-    dst_spacing: float,
-    dst_resolution,
-    dilation: int = 0,
-) -> np.ndarray:
-    """Map cells from one uniform grid into another, then dilate.
-
-    The source and destination grids may differ in origin, spacing and
-    per-axis extent — this is the coordinate mapping warm-start seeding
-    needs when the previous frame's cells live on a different (or, for
-    octree leaves, per-depth non-uniform) grid than the one being
-    refined.  Each source cell is represented by its centre, mapped by
-    ``floor((centre - dst_origin) / dst_spacing)``, discarded when it
-    lands more than ``dilation`` cells outside the destination grid,
-    clipped, and finally grown by :func:`dilate_cells`.  The result is
-    deduplicated and sorted by destination linear index; empty input
-    (or no survivor) maps to an empty ``(0, 3)`` array.  A negative
-    ``dilation`` raises :class:`GeometryError`.
-    """
-    if dilation < 0:
-        raise GeometryError(f"dilation must be >= 0, got {dilation}")
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-    dst_resolution = np.broadcast_to(
-        np.asarray(dst_resolution, dtype=np.int64), (3,)
-    )
-    if not len(cells):
-        return np.zeros((0, 3), dtype=np.int64)
-    centers = (
-        np.asarray(src_origin, dtype=np.float64)
-        + (cells.astype(np.float64) + 0.5) * float(src_spacing)
-    )
-    mapped = np.floor(
-        (centers - np.asarray(dst_origin, dtype=np.float64))
-        / float(dst_spacing)
-    ).astype(np.int64)
-    inside = np.all(
-        (mapped >= -dilation) & (mapped < dst_resolution + dilation),
-        axis=1,
-    )
-    mapped = np.clip(mapped[inside], 0, dst_resolution - 1)
-    if not len(mapped):
-        return np.zeros((0, 3), dtype=np.int64)
-    return dilate_cells(mapped, dilation, dst_resolution)
-
-
 def _sort_cells(
     cells: np.ndarray, corner_values: np.ndarray, resolution: int
 ) -> tuple:
     """Order cells by linear grid index.
 
     Cell order determines face order in :func:`_polygonise`, so sorting
-    makes the output mesh a pure function of the cell *set* — seeded
-    (warm-start) and cold extractions that keep the same cells produce
-    array-identical meshes.
+    makes the output mesh a pure function of the cell *set*.
     """
     linear = (
         cells[:, 0] * resolution + cells[:, 1]
@@ -495,13 +378,12 @@ def _evaluate_corners(
 def _classify(
     corner_values: np.ndarray, iso: float, spacing: float
 ) -> tuple:
-    """Per-cell flags of one depth: ``(straddling, active, seedable)``.
+    """Per-cell flags of one depth: ``(straddling, active)``.
 
-    Every point of a cell lies within half a cell diagonal of one of
-    its corners, so a 1-Lipschitz field's surface can cross a cell
-    only if it straddles the iso level or a corner value comes within
-    that margin: such cells seed the next frame's warm start.
-    Refinement keeps (``active``) cells within a whole diagonal.
+    A cell straddles when its corner values bracket the iso level;
+    refinement keeps (``active``) the cells that straddle or whose
+    nearer extreme lies within a cell diagonal of the level (see
+    :func:`repro.geometry.octree.level_schedule` for why a diagonal).
     """
     # Reduced column by column: across the 8 values of a row the
     # reduction is several times slower.  Minima and maxima are exact,
@@ -514,7 +396,7 @@ def _classify(
     strad = (vmin <= iso) & (vmax >= iso)
     gap = np.minimum(np.abs(vmin - iso), np.abs(vmax - iso))
     diagonal = spacing * np.sqrt(3.0)
-    return strad, strad | (gap <= diagonal), strad | (gap <= 0.5 * diagonal)
+    return strad, strad | (gap <= diagonal)
 
 
 def _evaluate_level(
@@ -522,7 +404,7 @@ def _evaluate_level(
     n_corners: int, iso: float, scratch: _QueryScratch,
 ) -> tuple:
     """One refinement level's corner values and :func:`_classify` flags:
-    ``(corner_values, straddling, active, seedable)``.
+    ``(corner_values, straddling, active)``.
 
     The compiled corner pass (``level_box`` / ``level_points`` /
     ``level_gather`` in :mod:`repro.geometry.capsule_kernel`) dedups
@@ -536,7 +418,7 @@ def _evaluate_level(
     """
     m = len(cells)
     if not m:
-        flags = np.zeros((3, 0), dtype=bool)
+        flags = np.zeros((2, 0), dtype=bool)
         return (np.zeros((0, 8)), *flags)
     kernel = compiled_capsule_kernel()
     if kernel is not None:
@@ -570,7 +452,7 @@ def _evaluate_level(
                     f"field returned {len(values)} values for {n} points"
                 )
             corner_values = np.empty((m, 8))
-            flags = np.empty((3, m), dtype=bool)
+            flags = np.empty((2, m), dtype=bool)
             level_gather(
                 *args, values.ctypes.data_as(dbl), iso, spacing,
                 corner_values.ctypes.data_as(dbl),

@@ -13,10 +13,9 @@ When the caller sets no root grid the schedule halves down to 16 cells
 per axis, so the dense root pass covers at most 17^3 corners and every
 later level evaluates only the cells near the surface; without a
 budget the mesh does not depend on the root (see
-:func:`level_schedule`).  A warm start (``seed_leaves``) replaces the
-dense root pass with the previous frame's leaves mapped into this
-frame's grids, so a slowly moving body re-evaluates only a band around
-its surface.
+:func:`level_schedule`).  Every extraction starts from that dense root
+pass: the mesh is a function of the field, the grid and the budget
+alone.
 
 Extraction runs in three steps: a refinement pass that evaluates each
 depth and records what it evaluated (:class:`OctreeRefinement`), a leaf
@@ -25,7 +24,7 @@ pass's own budget and for :func:`select_leaves`), and polygonisation.
 A budget that never refines a cell the record's budget did not sees,
 at every depth, a subset of the recorded cells with the same corner
 values, so :func:`derive_surface` extracts a coarser gaze tier's
-surface from a finer tier's cold record without evaluating the field.
+surface from a finer tier's record without evaluating the field.
 
 Per refinement level all corner queries are gathered into a single
 flush routed through :func:`repro.geometry.sdf.evaluate_packed`, so a
@@ -57,7 +56,7 @@ polygonised directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +70,6 @@ from repro.geometry.marching import (
     _polygonise,
     _sort_cells,
     ExtractionStats,
-    remap_cells,
 )
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.sdf import evaluate_packed
@@ -85,7 +83,6 @@ __all__ = [
     "extract_surface_octree",
     "level_schedule",
     "select_leaves",
-    "warm_seeds",
 ]
 
 # The derived schedule halves down to this many cells per axis.
@@ -158,8 +155,8 @@ class LeafSelection:
     """One depth budget's leaves over a refinement.
 
     Attributes:
-        leaves: ``(depth, cells, corner_values, straddling, seedable)``
-            per group of leaves that stop at one depth, coarse-first.
+        leaves: ``(depth, cells, corner_values, straddling)`` per group
+            of leaves that stop at one depth, coarse-first.
         cells_refined: cells the budget subdivided, over all depths.
         cells_skipped_gaze: straddling cells the budget stopped early.
         level_spans: one ``extract.level`` record per depth visited.
@@ -185,16 +182,14 @@ class OctreeRefinement:
         resolution: cells per axis at the deepest level.
         levels: cells per axis at each depth.
         iso: iso value.
-        warm: whether the pass began from warm-start seeds instead of
-            the dense root pass.
         frontiers: per depth, ``(cells, corner_values, straddling,
-            active, seedable, refined)``: the cells evaluated there,
-            their 8 corner values, their flags (see
+            active, refined)``: the cells evaluated there, their 8
+            corner values, their flags (see
             :func:`repro.geometry.marching._classify`), and the mask of
             those the pass subdivided; ``None`` where it evaluated
-            nothing.  In a cold pass the next depth's cells
-            are the children of the refined cells, 8 per parent in
-            ``_CUBE_CORNERS`` order.
+            nothing.  The root depth is the whole grid, and each later
+            depth's cells are the children of the refined cells, 8 per
+            parent in ``_CUBE_CORNERS`` order.
         selection: the pass's own budget's leaves.
         field_evaluations: field points the pass evaluated.
     """
@@ -204,7 +199,6 @@ class OctreeRefinement:
     resolution: int
     levels: tuple
     iso: float
-    warm: bool
     frontiers: list
     selection: LeafSelection
     field_evaluations: int
@@ -217,7 +211,6 @@ def extract_surface_octree(
     iso: float = 0.0,
     base_resolution: Optional[int] = None,
     budget=None,
-    seed_leaves: Optional[Sequence] = None,
     stats: Optional[ExtractionStats] = None,
 ) -> TriangleMesh:
     """Extract the zero level set of an SDF inside an axis-aligned box.
@@ -240,13 +233,6 @@ def extract_surface_octree(
             target is at or above the current depth stop refining
             there.  ``None`` refines every active cell to the deepest
             level.
-        seed_leaves: optional warm start — a sequence of
-            ``(depth, cells)`` pairs naming candidate cells per depth
-            (e.g. the previous frame's leaf set mapped and dilated by
-            the motion bound).  When given, the dense root pass is
-            skipped and refinement begins from the seeds; the caller
-            must guarantee the seeds cover every cell the surface
-            crosses, or parts of it are missed.
         stats: optional :class:`~repro.geometry.marching.
             ExtractionStats` filled in place, including the pass's
             :class:`OctreeRefinement` record.
@@ -258,15 +244,13 @@ def extract_surface_octree(
     levels = level_schedule(resolution, base_resolution)
     scratch = _QueryScratch()
     refinement = _refine(
-        sdf, lo, extent, resolution, iso, levels, budget, seed_leaves,
-        scratch,
+        sdf, lo, extent, resolution, iso, levels, budget, scratch
     )
     mesh = _polygonise_selection(
         refinement, refinement.selection, scratch, stats
     )
     if stats is not None:
         stats.field_evaluations = refinement.field_evaluations
-        stats.warm_started = refinement.warm
         stats.refinement = refinement
     return mesh
 
@@ -315,7 +299,7 @@ def derive_surface(
 def select_leaves(
     refinement: OctreeRefinement, budget
 ) -> Optional[LeafSelection]:
-    """The leaves ``budget`` stops at, selected from a cold record.
+    """The leaves ``budget`` stops at, selected from a record.
 
     Applies the stop rule the refinement pass applied, depth by depth,
     to the recorded cells: the dense root pass is the same for every
@@ -324,11 +308,8 @@ def select_leaves(
     record did not refine sees exactly the cells and corner values it
     would have evaluated itself.  Coverage is checked cell by cell:
     ``None`` when the budget would refine a cell deeper than the
-    record did, and for a warm-started record, whose coarse depths
-    were never evaluated.
+    record did.
     """
-    if refinement.warm:
-        return None
     levels = refinement.levels
     max_depth = len(levels) - 1
     leaves: list = []
@@ -401,16 +382,15 @@ def _stop_rule(
 ) -> tuple:
     """One depth's stop/leaf decision, shared by every leaf selection.
 
-    ``frontier`` is ``(cells, corner_values, straddling, active,
-    seedable)`` of the cells evaluated at ``depth``; ``candidates``
-    masks the ones this selection reached (``None``: all of them), and
-    ``mixed`` says whether leaves already stopped at a coarser depth.
+    ``frontier`` is ``(cells, corner_values, straddling, active)`` of
+    the cells evaluated at ``depth``; ``candidates`` masks the ones this
+    selection reached (``None``: all of them), and ``mixed`` says whether leaves already stopped at a coarser depth.
     Returns ``(leaf, refine, skipped, kept)``: the group that stops
     here as a leaf (or ``None``), the mask of ``cells`` to subdivide,
     the straddling cells the budget stopped early, and how many cells
     the activity filter kept.
     """
-    cells, corner_values, strad, active, seedable = frontier
+    cells, corner_values, strad, active = frontier
     if depth < max_depth or not mixed:
         # Coarser depths refine the active cells; a pure finest-depth
         # extraction polygonises the straddling ones.
@@ -445,10 +425,9 @@ def _stop_rule(
         refine[kept[~stopping]] = True
         skipped = int(np.count_nonzero(strad[stop]))
     if stop is None:
-        leaf = (depth, cells, corner_values, strad, seedable)
+        leaf = (depth, cells, corner_values, strad)
     else:
-        leaf = (depth, cells[stop], corner_values[stop], strad[stop],
-                seedable[stop])
+        leaf = (depth, cells[stop], corner_values[stop], strad[stop])
     if not len(leaf[1]):
         leaf = None
     return leaf, refine, skipped, len(cells) if kept is None else len(kept)
@@ -462,7 +441,6 @@ def _refine(
     iso: float,
     levels: tuple,
     budget,
-    seed_leaves: Optional[Sequence],
     scratch: _QueryScratch,
 ) -> OctreeRefinement:
     """The refinement pass of :func:`extract_surface_octree`: evaluate
@@ -472,65 +450,19 @@ def _refine(
     counting = _CountingSDF(sdf)
     packed = _PackedField(counting)
 
-    pending: dict = {}
-    if seed_leaves is not None:
-        for depth, cells in seed_leaves:
-            cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-            if len(cells):
-                pending.setdefault(
-                    min(int(depth), max_depth), []
-                ).append(cells)
-    warm = bool(pending)
-
     frontiers: list = [None] * len(levels)
     leaves: list = []
     cells_refined = 0
     cells_skipped_gaze = 0
     level_spans = []
-    carried: Optional[np.ndarray] = None  # children for the next depth
+    # The dense root pass over the whole grid.  Its corners go through
+    # the same level pass as every other depth.
+    cells = np.argwhere(np.ones((levels[0],) * 3, dtype=bool))
 
     for depth, level in enumerate(levels):
         spacing = extent / level
         t0 = perf_counter()
         evals_before = counting.count
-
-        seeds = pending.pop(depth, None)
-        if depth == 0 and not warm:
-            # Dense root pass over the whole grid.  Its corners go
-            # through the same level pass as every other depth, so a
-            # corner's position, i * spacing + lo, is the same on every
-            # path (a warm pass seeds the root grid's cells too).
-            cells = np.argwhere(np.ones((level,) * 3, dtype=bool))
-        elif seeds is None:
-            if carried is None:
-                continue
-            # Children of distinct in-bounds parents are distinct and in
-            # bounds: no filter or merge needed.
-            cells = carried
-        else:
-            cells = np.concatenate(
-                seeds if carried is None else [carried, *seeds]
-            )
-            cells = cells[np.all((cells >= 0) & (cells < level), axis=1)]
-            if not len(cells):
-                carried = None
-                continue
-            # Merge children and seeds through the linear index; the
-            # cell *set* alone determines the output (corner dedup and
-            # the final sort are both linear-index driven), so the sort
-            # here changes no result bit.
-            linear = (cells[:, 0] * level + cells[:, 1]) * level + cells[:, 2]
-            if len(linear) > 1 and not np.all(linear[1:] > linear[:-1]):
-                linear = np.unique(linear)
-            cells = np.stack(
-                [
-                    linear // (level * level),
-                    (linear // level) % level,
-                    linear % level,
-                ],
-                axis=1,
-            )
-
         frontier = (
             cells,
             *_evaluate_level(
@@ -547,15 +479,14 @@ def _refine(
         cells_skipped_gaze += skipped
         refined = cells[refine]
         cells_refined += len(refined)
-        carried = (
-            (refined[:, None, :] * 2 + _CUBE_CORNERS[None]).reshape(-1, 3)
-            if len(refined)
-            else None
-        )
-
+        # Children of distinct in-bounds parents are distinct and in
+        # bounds: no filter or merge needed.
+        cells = (refined[:, None, :] * 2 + _CUBE_CORNERS[None]).reshape(-1, 3)
         level_spans.append(
             _level_span(t0, depth, kept, counting.count - evals_before)
         )
+        if not len(cells):
+            break
 
     return OctreeRefinement(
         origin=lo,
@@ -563,7 +494,6 @@ def _refine(
         resolution=resolution,
         levels=levels,
         iso=iso,
-        warm=warm,
         frontiers=frontiers,
         selection=LeafSelection(
             leaves, cells_refined, cells_skipped_gaze, level_spans
@@ -578,8 +508,8 @@ def _polygonise_selection(
     scratch: _QueryScratch,
     stats: Optional[ExtractionStats],
 ) -> TriangleMesh:
-    """Polygonise one selection's leaves; fill ``stats`` with its leaf
-    set and spans."""
+    """Polygonise one selection's leaves; fill ``stats`` with the
+    selection and its spans."""
     leaves = selection.leaves
     levels = refinement.levels
     lo = refinement.origin
@@ -597,7 +527,7 @@ def _polygonise_selection(
     elif len(leaves) == 1 and leaves[0][0] == len(levels) - 1:
         # Uniform-depth leaf set: classic finest-lattice polygonisation
         # of the straddling cells, in linear-index order.
-        _, cells, vals, strad, _ = leaves[0]
+        _, cells, vals, strad = leaves[0]
         surface, vals = _sort_cells(cells[strad], vals[strad], resolution)
         grid_shape = np.array([resolution + 1] * 3)
         mesh = _polygonise(
@@ -618,129 +548,12 @@ def _polygonise_selection(
     }
 
     if stats is not None:
-        seed_cells = [cells[seed] for _, cells, _, _, seed in leaves]
-        seed_depths = [
-            np.full(len(group), leaf[0], dtype=np.int64)
-            for leaf, group in zip(leaves, seed_cells)
-        ]
         stats.surface_cells = surface
-        stats.origin = lo
-        stats.spacing = spacing_fine
-        stats.resolution = resolution
-        stats.leaf_cells = (
-            np.concatenate(seed_cells, axis=0)
-            if seed_cells
-            else np.zeros((0, 3), dtype=np.int64)
-        )
-        stats.leaf_depths = (
-            np.concatenate(seed_depths)
-            if seed_depths
-            else np.zeros(0, dtype=np.int64)
-        )
-        stats.leaf_levels = levels
+        stats.selection = selection
         stats.cells_refined = selection.cells_refined
         stats.cells_skipped_gaze = selection.cells_skipped_gaze
         stats.level_spans = [*selection.level_spans, polygonise_span]
     return mesh
-
-
-def warm_seeds(
-    prev: ExtractionStats,
-    bounds: Tuple[np.ndarray, np.ndarray],
-    resolution: int,
-    base_resolution: Optional[int] = None,
-    motion: float = 0.0,
-    budget=None,
-    max_dilation: int = 3,
-) -> Optional[list]:
-    """Per-depth warm-start seeds from a previous extraction's leaves.
-
-    Maps ``prev``'s leaf set — every leaf that may hold surface (see
-    :attr:`ExtractionStats.leaf_cells`) — into the per-depth grids of an
-    extraction of ``bounds`` at ``resolution``, dilated by the motion
-    bound, as ``seed_leaves`` for :func:`extract_surface_octree`.
-
-    ``motion`` bounds how far any point that moves the field (bone
-    endpoints, the cranium centre) travelled since ``prev``.  The field
-    is a smooth union of 1-Lipschitz primitives whose value at any
-    point shifts by at most that much, so the surface moves at most
-    ~``motion``.  A cell the new surface crosses then lies within
-    ``2 * motion`` (doubled for blend-zone slack) plus half a source
-    cell (the surface's offset from its leaf's centre) of a mapped
-    leaf centre.  Index distance after the floor() never exceeds
-    ``ceil(|u - v|)``, so that ceil is the dilation.  Seeding from
-    every leaf that may hold surface, not only the straddling ones,
-    matters on coarse grids: a surface thinner than a cell can pass
-    between a cell's corners in one frame and cross a corner in the
-    next.
-
-    With a gaze ``budget`` each leaf seeds at ``min(previous depth,
-    target depth at its centre)`` — when the gaze moved onto a region
-    the seed refines deeper from where it stopped; when it moved away,
-    the leaf is coarsened to the new target.
-
-    Returns ``None`` when a cold start is required: no leaves, a
-    different grid or level schedule, or a dilation beyond
-    ``max_dilation`` (dilating further would cost more than the root
-    pass saves).
-    """
-    levels = level_schedule(resolution, base_resolution)
-    if (
-        prev.leaf_cells is None
-        or prev.leaf_depths is None
-        or not len(prev.leaf_cells)
-        or prev.resolution != resolution
-        or prev.leaf_levels != levels
-    ):
-        return None
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    extent = float((np.asarray(bounds[1], dtype=np.float64) - lo).max())
-    max_depth = len(levels) - 1
-    prev_extent = prev.spacing * prev.resolution
-    depths = prev.leaf_depths
-    cells = prev.leaf_cells
-
-    if budget is not None:
-        per_depth_spacing = np.array(
-            [prev_extent / level for level in levels]
-        )
-        centers = (
-            prev.origin
-            + (cells.astype(np.float64) + 0.5)
-            * per_depth_spacing[depths][:, None]
-        )
-        targets = np.asarray(
-            budget.target_depths(centers, max_depth), dtype=np.int64
-        )
-        seed_depths = np.minimum(depths, targets)
-    else:
-        seed_depths = np.minimum(depths, max_depth)
-
-    seeds = []
-    for src_depth in np.unique(depths):
-        src_spacing = prev_extent / levels[src_depth]
-        at_src = depths == src_depth
-        for dst_depth in np.unique(seed_depths[at_src]):
-            group = cells[at_src & (seed_depths == dst_depth)]
-            dst_level = levels[dst_depth]
-            dst_spacing = extent / dst_level
-            dilation = int(
-                np.ceil((2.0 * motion + 0.5 * src_spacing) / dst_spacing)
-            )
-            if dilation > max_dilation:
-                return None
-            mapped = remap_cells(
-                group,
-                prev.origin,
-                src_spacing,
-                lo,
-                dst_spacing,
-                dst_level,
-                dilation=dilation,
-            )
-            if len(mapped):
-                seeds.append((int(dst_depth), mapped))
-    return seeds or None
 
 
 def _polygonise_mixed(

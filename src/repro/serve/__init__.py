@@ -2,7 +2,7 @@
 
 Turns the session layer from a single-threaded loop into a
 throughput-oriented executor: a process pool with sticky per-stream
-warm-start state and shared-memory mesh transfer
+routing and shared-memory mesh transfer
 (:mod:`repro.serve.pool`), a cross-session pose-bucketed mesh cache
 (:mod:`repro.serve.cache`), the engine every session decodes through,
 gluing both behind a :class:`ServingConfig` (:mod:`repro.serve.engine`),

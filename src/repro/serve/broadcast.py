@@ -389,8 +389,8 @@ class BroadcastSession:
         for receiver in self.receivers:
             pipeline = self._pipelines[receiver.name]
             pipeline.reset()
-            # The tier budget is frame state on the reconstructor
-            # (reset clears it) — reinstall after every reset.
+            # The tier budget is frame state on the reconstructor,
+            # installed for every run.
             pipeline.reconstructor.set_depth_budget(
                 self.tiers[receiver.tier]
             )

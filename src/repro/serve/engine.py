@@ -12,7 +12,7 @@ texture work) go through cache and pool; everything else falls back to
 the pipeline's own ``decode`` — correctness first, acceleration where
 the decode really is a pure function of the transmitted parameters.
 
-In process, the engine also keeps the most recent cold refinement made
+In process, the engine also keeps the most recent refinement made
 under a gaze budget, keyed on the exact transmitted parameters and the
 reconstructor configuration.  A cache miss of another gaze tier of the
 same frame selects its leaves from that record and only polygonises
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class ServingEngine:
 
     Args:
         config: the serving knobs.  ``workers == 0`` keeps
-            reconstruction in-process (per-stream warm-start state held
-            by the engine) while the cache still applies.
+            reconstruction in-process, on each pipeline's own
+            reconstructor, while the cache still applies.
         registry: metrics registry shared with the cache
             (``serve.cache.*``) and the pool (``serve.pool.*``); the
             engine's own counters land under ``serve.engine.*``.  A
@@ -136,13 +136,11 @@ class ServingEngine:
             else None
         )
         self.stats = ServingStats()
-        self._local: Dict[str, tuple] = {}
-        self._session_streams: Dict[str, Set[str]] = {}
         # Sliding window of store-hit outcomes per session, feeding
         # the gateway's service-rate model (a skinning-only stream is
         # far cheaper than field extraction).
         self._store_recent: Dict[str, Deque[float]] = {}
-        # (exact parameter key, record) of the latest cold, budgeted
+        # (exact parameter key, record) of the latest budgeted
         # in-process refinement; see _refinement_key.
         self._refinement: Optional[tuple] = None
         self._closed = False
@@ -154,15 +152,12 @@ class ServingEngine:
         return f"{session}|{sender}"
 
     def reset_session(self, session: str) -> None:
-        """Drop warm-start state for every stream of one session.
+        """Drop one session's store-hit history.
 
-        The cross-session cache is deliberately *not* cleared — serving
-        recurring avatar states across sessions is its purpose.
+        Reconstruction keeps no per-stream state, and the cross-session
+        cache is deliberately *not* cleared — serving recurring avatar
+        states across sessions is its purpose.
         """
-        for stream in self._session_streams.pop(session, set()):
-            if self.pool is not None:
-                self.pool.reset_stream(stream)
-            self._local.pop(stream, None)
         self._store_recent.pop(session, None)
 
     # -- decode ----------------------------------------------------
@@ -192,7 +187,6 @@ class ServingEngine:
                 stream=stream,
                 mode="inline",
             )
-        self._session_streams.setdefault(session, set()).add(stream)
         start = perf_counter()
         codec = pipeline.codec
         payload = (
@@ -351,11 +345,7 @@ class ServingEngine:
         if ticket.mode == "hit":
             timing.add("cache_lookup", ticket.lookup_seconds)
             mesh = ticket.cached_mesh
-            metadata.update(
-                field_evaluations=0,
-                warm_started=False,
-                cache_hit=True,
-            )
+            metadata.update(field_evaluations=0, cache_hit=True)
         elif ticket.mode in ("store_pool", "store_local"):
             mesh = self._collect_store(ticket, timing, metadata)
         elif ticket.mode == "pool":
@@ -365,20 +355,18 @@ class ServingEngine:
             timing.add("mesh_reconstruction", result.seconds)
             metadata.update(
                 field_evaluations=result.field_evaluations,
-                warm_started=result.warm_started,
                 cache_hit=False,
                 worker=result.worker,
                 worker_spans=result.spans,
             )
             if self.cache is not None and ticket.key is not None:
                 mesh = self.cache.put(ticket.key, mesh)
-        else:  # "local": in-process, per-stream warm-start state
+        else:  # "local": in-process, on the pipeline's reconstructor
             result = self._reconstruct_local(ticket)
             mesh = result.mesh
             timing.add("mesh_reconstruction", result.seconds)
             metadata.update(
                 field_evaluations=result.field_evaluations,
-                warm_started=result.warm_started,
                 cache_hit=False,
             )
             if self.cache is not None and ticket.key is not None:
@@ -458,10 +446,7 @@ class ServingEngine:
                 # The skinning drifted past tolerance: re-extract at
                 # this frame's pose and republish, so the canonical
                 # mesh tracks the user instead of compounding error.
-                local = self._local_reconstructor(
-                    ticket.stream, pipeline
-                )
-                result = local.reconstruct(
+                result = reconstructor.reconstruct(
                     pose=payload.pose,
                     shape=payload.shape,
                     expression=payload.expression,
@@ -481,7 +466,6 @@ class ServingEngine:
                 metadata["store_republished"] = True
         metadata.update(
             field_evaluations=evaluations,
-            warm_started=False,
             cache_hit=False,
             store_hit=True,
         )
@@ -498,11 +482,8 @@ class ServingEngine:
     def _reconstruct_local(self, ticket: DecodeTicket):
         """One in-process reconstruction.  Under a gaze budget, a frame
         whose exact parameters match the held refinement record is
-        polygonised from it; a new cold refinement replaces the
-        record."""
-        reconstructor = self._local_reconstructor(
-            ticket.stream, ticket.pipeline
-        )
+        polygonised from it; a new refinement replaces the record."""
+        reconstructor = ticket.pipeline.reconstructor
         payload = ticket.payload
         budgeted = reconstructor.depth_budget is not None
         key = _refinement_key(payload, reconstructor) if budgeted else None
@@ -521,11 +502,7 @@ class ServingEngine:
             # Taken off the result, so the engine's is the only
             # reference that keeps the record alive.
             record, result.refinement = result.refinement, None
-            self._refinement = (
-                (key, record)
-                if record is not None and not record.warm
-                else None
-            )
+            self._refinement = None if record is None else (key, record)
         return result
 
     def _note_store_outcome(self, stream: str, hit: bool) -> None:
@@ -565,31 +542,6 @@ class ServingEngine:
         return self.collect(
             self.submit(pipeline, encoded, session=session, sender=sender)
         )
-
-    def _local_reconstructor(self, stream: str, pipeline):
-        from repro.avatar.reconstructor import KeypointMeshReconstructor
-
-        base = pipeline.reconstructor
-        octree_base = getattr(base, "octree_base", None)
-        config = (base.resolution, base.expression_channels, base.blend,
-                  octree_base)
-        held = self._local.get(stream)
-        if held is None or held[0] != config:
-            held = (
-                config,
-                KeypointMeshReconstructor(
-                    resolution=base.resolution,
-                    expression_channels=base.expression_channels,
-                    blend=base.blend,
-                    octree_base=octree_base,
-                ),
-            )
-            self._local[stream] = held
-        # The gaze budget is per frame, not config: track the source
-        # reconstructor's current budget without rebuilding (which
-        # would discard warm-start state).
-        held[1].set_depth_budget(getattr(base, "depth_budget", None))
-        return held[1]
 
     # -- reporting / lifecycle -------------------------------------
 

@@ -6,11 +6,11 @@ thread pool gains nothing; this pool fans frames across worker
 *processes* instead.  Three properties matter for correctness and
 throughput:
 
-* **Sticky streams.**  Warm-starting extraction from the previous
-  frame's surface cells only pays if consecutive frames of one
-  (session, sender) stream land on the same worker.  Streams are
-  pinned to workers on first sight, least-loaded first, so routing is
-  deterministic and balanced.
+* **Sticky streams.**  Each job builds its reconstructor from the job's
+  config, so a worker holds no per-stream state.  Streams are still
+  pinned to workers on first sight, least-loaded first: one stream's
+  frames then leave its worker's queue in the order they were
+  submitted, and routing is deterministic and balanced.
 * **Shared-memory results.**  A reconstructed mesh at resolution 256+
   is hundreds of KB of vertex/face data per frame; workers return it
   through :mod:`multiprocessing.shared_memory` segments the parent
@@ -22,8 +22,7 @@ throughput:
   exception *inside* a reconstruction (bad content) surfaces as the
   plain :class:`repro.errors.PipelineError` the in-process path would
   raise, so sessions can conceal it.  A timed-out worker is terminated
-  and respawned in place (streams keep their pinning; warm-start
-  re-seeds), and every shared-memory segment a worker produced is
+  and respawned in place (streams keep their pinning), and every shared-memory segment a worker produced is
   copied-or-unlinked exactly once — including results that arrive
   after their job was abandoned by a timeout or ``close``.
 * **Cross-stream batching.**  When several *different* streams with
@@ -88,7 +87,6 @@ class PoolResult:
             CI case); CPU time is what each worker would take with a
             core of its own.
         field_evaluations: implicit-field evaluations performed.
-        warm_started: whether the worker's per-stream warm-start hit.
         worker: index of the worker that served the job.
         spans: worker-side span records (name/start/end in the worker's
             clock domain, plus worker identity) for re-parenting under
@@ -101,7 +99,6 @@ class PoolResult:
     seconds: float
     cpu_seconds: float
     field_evaluations: int
-    warm_started: bool
     worker: int
     spans: Tuple[Dict[str, object], ...] = ()
     batch_size: int = 1
@@ -201,42 +198,35 @@ def _worker_main(
     coalesce_window: float = 0.0,
     max_batch: int = 1,
 ) -> None:
-    """Worker loop: per-stream reconstructors keyed for warm-start."""
+    """Worker loop: one fresh reconstructor per job, built from the
+    job's config tuple."""
     # Imported here so the module stays importable without triggering
     # the avatar stack at parent import time.
     from repro.avatar.reconstructor import KeypointMeshReconstructor
     from repro.avatar.store import arena_views, repose_vertices
     from repro.gaze.lod import GazeDepthBudget
 
-    reconstructors: Dict[str, Tuple[tuple, object]] = {}
     # Canonical-avatar arenas this worker has attached, by segment
     # name: every repose job of one identity reads the same mapping —
     # one attach, N zero-copy reads.  The store (parent) owns the
     # segments; attachments are read-only and never unlink.
     arenas: Dict[str, tuple] = {}
 
-    def get_reconstructor(stream, config, gaze):
-        held = reconstructors.get(stream)
-        if held is None or held[0] != config:
-            resolution, expression_channels, blend, octree_base = config
-            held = (
-                config,
-                KeypointMeshReconstructor(
-                    resolution=resolution,
-                    expression_channels=expression_channels,
-                    blend=blend,
-                    octree_base=octree_base,
-                ),
-            )
-            reconstructors[stream] = held
+    def build_reconstructor(config, gaze):
+        resolution, expression_channels, blend, octree_base = config
+        reconstructor = KeypointMeshReconstructor(
+            resolution=resolution,
+            expression_channels=expression_channels,
+            blend=blend,
+            octree_base=octree_base,
+        )
         # The gaze budget rides per *job*, not in the config: two
         # streams looking different ways still share a coalesced
-        # dispatch, and a moving gaze must not discard the stream's
-        # warm-start state.
-        held[1].set_depth_budget(
+        # dispatch.
+        reconstructor.set_depth_budget(
             None if gaze is None else GazeDepthBudget.from_wire(gaze)
         )
-        return held[1]
+        return reconstructor
 
     def decode_params(pose_blob, shape_blob, expr_blob):
         pose = BodyPose.from_flat(
@@ -288,7 +278,6 @@ def _worker_main(
                 "pid": os.getpid(),
                 "stream": stream,
                 "frame_index": frame_index,
-                "warm_started": bool(result.warm_started),
             },
         ]
         if batch_size > 1:
@@ -353,7 +342,6 @@ def _worker_main(
                 result.seconds,
                 cpu_seconds,
                 result.field_evaluations,
-                result.warm_started,
                 tuple(spans),
                 batch_size,
                 batch_leader,
@@ -364,7 +352,7 @@ def _worker_main(
         (_, job_id, stream, frame_index, config,
          pose_blob, shape_blob, expr_blob, gaze) = message
         try:
-            reconstructor = get_reconstructor(stream, config, gaze)
+            reconstructor = build_reconstructor(config, gaze)
             pose, shape, expression = decode_params(
                 pose_blob, shape_blob, expr_blob
             )
@@ -410,8 +398,7 @@ def _worker_main(
 
     def run_repose(message):
         """Pose-delta-only reconstruction: LBS of the shared canonical
-        mesh — zero field evaluations, no extractor, no warm-start
-        state touched."""
+        mesh — zero field evaluations, no extractor."""
         (_, job_id, stream, frame_index, _config,
          pose_blob, shape_blob, arena, nv, nf, k) = message
         try:
@@ -436,7 +423,6 @@ def _worker_main(
                 mesh=mesh,
                 seconds=span_end - span_start,
                 field_evaluations=0,
-                warm_started=False,
             )
             ship_ok(job_id, stream, frame_index, result, cpu_seconds,
                     span_start, span_end, 1, True, ())
@@ -452,7 +438,7 @@ def _worker_main(
             (_, job_id, stream, frame_index, config,
              pose_blob, shape_blob, expr_blob, gaze) = message
             try:
-                reconstructor = get_reconstructor(stream, config, gaze)
+                reconstructor = build_reconstructor(config, gaze)
                 params = decode_params(pose_blob, shape_blob, expr_blob)
                 prepared.append(
                     (job_id, stream, frame_index, reconstructor, params)
@@ -468,23 +454,21 @@ def _worker_main(
             job_id, stream, frame_index, reconstructor, params = entry
             pose, shape, expression = params
             try:
+                # The job's own reconstructor: no other thread sees
+                # the hook.
                 reconstructor.field_hook = (
                     lambda fld: _BatchedField(coordinator, fld)
                 )
-                try:
-                    # thread_time, not process_time: each job charges
-                    # only the CPU its own thread burned (the shared
-                    # kernel call lands on whichever thread flushed
-                    # the barrier).
-                    cpu_start = time.thread_time()
-                    span_start = perf_counter()
-                    result = reconstructor.reconstruct(
-                        pose=pose, shape=shape, expression=expression
-                    )
-                    span_end = perf_counter()
-                    cpu_seconds = time.thread_time() - cpu_start
-                finally:
-                    reconstructor.field_hook = None
+                # thread_time, not process_time: each job charges only
+                # the CPU its own thread burned (the shared kernel call
+                # lands on whichever thread flushed the barrier).
+                cpu_start = time.thread_time()
+                span_start = perf_counter()
+                result = reconstructor.reconstruct(
+                    pose=pose, shape=shape, expression=expression
+                )
+                span_end = perf_counter()
+                cpu_seconds = time.thread_time() - cpu_start
                 outcomes[index] = (
                     "ok", result, cpu_seconds, span_start, span_end
                 )
@@ -530,8 +514,7 @@ def _worker_main(
             return
         if kind == "crash":
             # Test hook: die like a segfaulted/OOM-killed worker,
-            # without cleaning up warm state or shared-memory
-            # segments.  The response queue IS flushed first: its
+            # without cleaning up shared-memory segments.  The response queue IS flushed first: its
             # write lock is shared with every surviving worker, and
             # dying between the feeder thread's send and its lock
             # release (a single-core scheduler makes that window
@@ -547,9 +530,6 @@ def _worker_main(
             # stuck in a pathological reconstruction.
             time.sleep(message[1])
             continue
-        if kind == "reset":
-            reconstructors.pop(message[1], None)
-            continue
         if kind == "repose":
             run_repose(message)
             continue
@@ -559,12 +539,10 @@ def _worker_main(
         if coalesce and max_batch > 1:
             # Coalesce compatible queued jobs: same reconstructor
             # config, each from a *different* stream (two jobs of one
-            # stream must stay sequential for warm-start exactness and
-            # per-stream FIFO).  The first control message or
-            # incompatible job ends collection and is stashed so it is
-            # handled right after this batch — queue order between a
-            # stream's jobs, and between a reset and later jobs, is
-            # preserved.
+            # stream stay sequential, in FIFO order).  The first
+            # control message or incompatible job ends collection and
+            # is stashed so it is handled right after this batch —
+            # queue order between a stream's jobs is preserved.
             streams = {message[2]}
             config = message[4]
             deadline = monotonic() + coalesce_window
@@ -713,10 +691,11 @@ class ReconstructionPool:
     # -- routing ---------------------------------------------------
 
     def worker_for(self, stream: str) -> int:
-        """Sticky least-loaded routing: a stream keeps its worker for
-        warm-start locality; a new stream goes to the worker holding
-        the fewest streams (ties break on the lowest index), so load
-        balances deterministically in arrival order."""
+        """Sticky least-loaded routing: a stream keeps its worker, so
+        its frames run in the order they were submitted; a new stream
+        goes to the worker holding the fewest streams (ties break on
+        the lowest index), so load balances deterministically in
+        arrival order."""
         worker = self._stream_worker.get(stream)
         if worker is None:
             worker = int(np.argmin(self._stream_counts))
@@ -948,16 +927,6 @@ class ReconstructionPool:
         """Synchronous submit + result."""
         return self.result(self.submit(stream, frame_index, **kwargs))
 
-    def reset_stream(self, stream: str) -> None:
-        """Drop the warm-start state of one stream (new session run).
-
-        The stream keeps its worker pinning, so queued order guarantees
-        the reset applies before any later job of the stream.
-        """
-        worker = self._stream_worker.get(stream)
-        if worker is not None and self._processes[worker].is_alive():
-            self._requests[worker].put(("reset", stream))
-
     # -- internals -------------------------------------------------
 
     def _drain(self, block_seconds: float) -> bool:
@@ -991,7 +960,7 @@ class ReconstructionPool:
             return True
         if kind == "ok":
             (_, _, worker, shm_name, nv, nf,
-             seconds, cpu_seconds, evaluations, warm, spans,
+             seconds, cpu_seconds, evaluations, spans,
              batch_size, batch_leader) = message
             if batch_leader:
                 # One observation per dispatch (the leader speaks for
@@ -1031,7 +1000,6 @@ class ReconstructionPool:
                     seconds=seconds,
                     cpu_seconds=cpu_seconds,
                     field_evaluations=evaluations,
-                    warm_started=bool(warm),
                     worker=worker,
                     spans=tuple(spans),
                     batch_size=int(batch_size),
@@ -1073,7 +1041,7 @@ class ReconstructionPool:
         slot.  Remaining pending jobs of the old process become typed
         errors, the request queue is replaced so stale messages never
         reach the replacement, and the worker's streams keep their
-        pinning (warm-start simply re-seeds on the fresh process)."""
+        pinning."""
         process = self._processes[worker]
         if process.is_alive():
             process.terminate()
@@ -1097,8 +1065,8 @@ class ReconstructionPool:
         The heal path for a long-lived serving layer (the gateway):
         a worker killed by the OS fails its in-flight jobs with typed
         errors, and this call brings the slot back so the streams
-        pinned to it resume on the next submit (warm-start re-seeds on
-        the fresh process).  A healthy pool is a no-op.
+        pinned to it resume on the next submit.  A healthy pool is a
+        no-op.
         """
         if self._closed:
             raise ServingError("pool is closed")

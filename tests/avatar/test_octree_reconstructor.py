@@ -1,5 +1,5 @@
-"""Octree extraction in the keypoint-mesh reconstructor: root grids,
-warm start and the gaze LOD budget."""
+"""Octree extraction in the keypoint-mesh reconstructor: root grids
+and the gaze LOD budget."""
 
 import numpy as np
 import pytest
@@ -39,44 +39,20 @@ class TestOctreeMatchesDense:
     (frozen digests), on the derived root and on an explicit one, with
     each root's frozen evaluation counts."""
 
-    def test_cold_and_warm_frames_identical(self):
-        frames = talking(n_frames=3)
-        for octree_base, cold_name in (
-            (None, "talking4-r96-f{}-cold"),
-            (32, "talking4-r96-base32-f{}-cold"),
+    def test_frames_identical(self):
+        for octree_base, name, n_frames in (
+            (None, "talking4-r96-f{}-cold", 4),
+            (32, "talking4-r96-base32-f{}-cold", 3),
         ):
-            warm = KeypointMeshReconstructor(
+            rec = KeypointMeshReconstructor(
                 resolution=96, octree_base=octree_base
             )
-            cold = KeypointMeshReconstructor(
-                resolution=96, octree_base=octree_base, warm_start=False
-            )
-            for index, frame in enumerate(frames):
-                rw = warm.reconstruct(pose=frame.pose)
-                rc = cold.reconstruct(pose=frame.pose)
-                assert_frozen(f"talking4-r96-f{index}-warm", rw.mesh)
+            for index, frame in enumerate(talking(n_frames=n_frames)):
+                result = rec.reconstruct(pose=frame.pose)
                 assert_frozen(
-                    cold_name.format(index), rc.mesh, rc.field_evaluations
+                    name.format(index), result.mesh,
+                    result.field_evaluations,
                 )
-                assert rw.warm_started == (index > 0)
-
-    def test_warm_start_saves_evaluations(self):
-        frames = talking(n_frames=3)
-        rec = KeypointMeshReconstructor(resolution=96)
-        evals = [
-            rec.reconstruct(pose=f.pose).field_evaluations
-            for f in frames
-        ]
-        assert sum(evals[1:]) < 2 * evals[0]
-        assert rec.reconstruct(pose=frames[-1].pose).warm_started
-
-    def test_reset_forces_cold_frame(self):
-        frames = talking(n_frames=2)
-        rec = KeypointMeshReconstructor(resolution=96)
-        rec.reconstruct(pose=frames[0].pose)
-        assert rec.reconstruct(pose=frames[1].pose).warm_started
-        rec.reset()
-        assert not rec.reconstruct(pose=frames[1].pose).warm_started
 
 
 class TestGazeBudget:

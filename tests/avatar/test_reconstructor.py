@@ -1,5 +1,8 @@
 """Tests for the implicit field and mesh reconstructors."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.body.motion import talking, waving
 from repro.body.pose import BodyPose
 from repro.body.shape import ShapeParams
 from repro.errors import PipelineError
+from repro.geometry.capsule_kernel import kernel_available
 from repro.geometry.distance import chamfer_distance
 from repro.keypoints.lifter import Keypoints3D
 from tests.geometry.frozen import assert_frozen
@@ -223,32 +227,8 @@ class TestModelFree:
             rec.reconstruct(observed)
 
 
-class TestWarmStart:
-    def test_warm_meshes_identical_to_cold(self):
-        frames = talking(n_frames=4)
-        warm = KeypointMeshReconstructor(resolution=96, warm_start=True)
-        cold = KeypointMeshReconstructor(resolution=96,
-                                         warm_start=False)
-        engaged = []
-        for index, frame in enumerate(frames):
-            rw = warm.reconstruct(pose=frame.pose)
-            rc = cold.reconstruct(pose=frame.pose)
-            assert np.array_equal(rw.mesh.vertices, rc.mesh.vertices)
-            assert np.array_equal(rw.mesh.faces, rc.mesh.faces)
-            assert_frozen(
-                f"talking4-r96-f{index}-warm", rw.mesh,
-                rw.field_evaluations,
-            )
-            assert_frozen(
-                f"talking4-r96-f{index}-cold", rc.mesh,
-                rc.field_evaluations,
-            )
-            assert 0 < rw.field_evaluations <= rc.field_evaluations
-            assert not rc.warm_started
-            engaged.append(rw.warm_started)
-        assert not engaged[0]
-        assert any(engaged[1:])
-
+class TestHistoryIndependence:
+    @pytest.mark.parametrize("backend", ("c", "numpy"))
     @pytest.mark.parametrize(
         "resolution, octree_base, sequence",
         [
@@ -261,65 +241,39 @@ class TestWarmStart:
             (24, 8, "walking"),
         ],
     )
-    def test_warm_equals_cold_on_coarse_grids(
-        self, resolution, octree_base, sequence
+    def test_reused_equals_fresh_on_coarse_grids(
+        self, resolution, octree_base, sequence, backend
     ):
         """On coarse grids a limb thinner than a cell can pass between
-        one frame's corners and cross a corner in the next; warm starts
-        seeded from the straddling leaves alone lost that surface on
-        these sequences (e.g. 24 faces on talking frames 18-29 at
-        r16)."""
-        frames = getattr(motion, sequence)(n_frames=30, seed=5)
-        warm = KeypointMeshReconstructor(
-            resolution=resolution, octree_base=octree_base
-        )
-        cold = KeypointMeshReconstructor(
-            resolution=resolution, octree_base=octree_base,
-            warm_start=False,
-        )
-        engaged = 0
-        for frame in frames:
-            rw = warm.reconstruct(pose=frame.pose)
-            rc = cold.reconstruct(pose=frame.pose)
-            assert np.array_equal(rw.mesh.vertices, rc.mesh.vertices)
-            assert np.array_equal(rw.mesh.faces, rc.mesh.faces)
-            engaged += rw.warm_started
-        assert engaged == len(frames) - 1
+        one frame's corners and cross a corner in the next (e.g. on
+        talking frames 18-29 at r16).  One reconstructor fed the whole
+        sequence gives every frame the mesh and evaluation count of a
+        fresh reconstructor."""
+        env = {"REPRO_DISABLE_C_KERNEL": "1"} if backend == "numpy" else {}
+        with mock.patch.dict(os.environ, env):
+            if backend == "c" and not kernel_available():
+                pytest.skip("C capsule kernel unavailable")
+            frames = getattr(motion, sequence)(n_frames=30, seed=5)
+            reused = KeypointMeshReconstructor(
+                resolution=resolution, octree_base=octree_base
+            )
+            for frame in frames:
+                got = reused.reconstruct(pose=frame.pose)
+                want = KeypointMeshReconstructor(
+                    resolution=resolution, octree_base=octree_base
+                ).reconstruct(pose=frame.pose)
+                assert got.mesh.vertices.tobytes() == \
+                    want.mesh.vertices.tobytes()
+                assert got.mesh.faces.tobytes() == \
+                    want.mesh.faces.tobytes()
+                assert got.field_evaluations == want.field_evaluations
 
-    def test_warm_start_saves_evaluations(self):
-        frames = talking(n_frames=3)
-        warm = KeypointMeshReconstructor(resolution=96, warm_start=True)
-        cold = KeypointMeshReconstructor(resolution=96,
-                                         warm_start=False)
-        warm_evals = [
-            warm.reconstruct(pose=f.pose).field_evaluations
-            for f in frames
-        ]
-        cold_evals = [
-            cold.reconstruct(pose=f.pose).field_evaluations
-            for f in frames
-        ]
-        assert warm_evals[0] == cold_evals[0]
-        assert sum(warm_evals[1:]) < sum(cold_evals[1:])
 
-    def test_reset_forces_cold_frame(self):
+class TestFrozenReconstructions:
+    def test_expression_frames(self):
         frames = talking(n_frames=2)
         reconstructor = KeypointMeshReconstructor(
-            resolution=96, warm_start=True
-        )
-        reconstructor.reconstruct(pose=frames[0].pose)
-        assert reconstructor.reconstruct(
-            pose=frames[1].pose
-        ).warm_started
-        reconstructor.reset()
-        assert not reconstructor.reconstruct(
-            pose=frames[1].pose
-        ).warm_started
-
-    def test_expression_change_forces_cold_frame(self):
-        frames = talking(n_frames=2)
-        reconstructor = KeypointMeshReconstructor(
-            resolution=96, warm_start=True, expression_channels=4
+            resolution=96, expression_channels=4
         )
         neutral = ExpressionParams.neutral()
         first = reconstructor.reconstruct(pose=frames[0].pose,
@@ -331,22 +285,17 @@ class TestWarmStart:
         )
         result = reconstructor.reconstruct(pose=frames[1].pose,
                                            expression=changed)
-        assert not result.warm_started
         assert_frozen(
             "expr-r96-f1-changed", result.mesh, result.field_evaluations
         )
 
     def test_fused_field_matches_reference_reconstruction(self):
         pose = talking(n_frames=3)[2].pose
-        fused = KeypointMeshReconstructor(
-            resolution=64, warm_start=False
-        ).reconstruct(pose)
+        fused = KeypointMeshReconstructor(resolution=64).reconstruct(pose)
         assert_frozen(
             "talking3-f2-r64-cold", fused.mesh, fused.field_evaluations
         )
-        reference_rec = KeypointMeshReconstructor(
-            resolution=64, warm_start=False
-        )
+        reference_rec = KeypointMeshReconstructor(resolution=64)
         reference_rec.field_hook = reference_field
         reference = reference_rec.reconstruct(pose)
         assert np.allclose(fused.mesh.vertices,

@@ -2,7 +2,7 @@
 
 :func:`repro.geometry.marching._evaluate_level` dedups a level's cell
 corners into query points, calls the field once, and gathers each
-cell's 8 corner values and its (straddling, active, seedable) flags.
+cell's 8 corner values and its (straddling, active) flags.
 With the compiled library it runs ``level_points`` / ``level_gather``
 around that call; it must hand the field the same point bytes, in the
 same order, and return the same values and flags as the reference
@@ -67,8 +67,8 @@ def _lattice(rng, level, values, spacing):
     if values == "ties":
         lattice = np.round(rng.normal(size=shape) * 2) / 2
     elif values == "near":
-        # Within a few diagonals of the level: the active and seedable
-        # margins decide.
+        # Within a few diagonals of the level: the active margin
+        # decides.
         lattice = rng.uniform(-3, 3, size=shape) * spacing * np.sqrt(3.0)
     else:
         lattice = rng.normal(size=shape)
@@ -119,7 +119,7 @@ class TestMatchesNumPy:
             want_flags = _classify(want_values, level_iso, spacing)
         else:
             want_values = np.zeros((0, 8))
-            want_flags = (np.zeros(0, dtype=bool),) * 3
+            want_flags = (np.zeros(0, dtype=bool),) * 2
 
         # A scratch that already served a larger level: stale ranks and
         # points must not leak into this one.
@@ -147,6 +147,7 @@ class TestMatchesNumPy:
         ):
             assert _same(got_points, want_points)
         assert _same(got[0], want_values)
+        assert len(got) == 1 + len(want_flags) == 3
         for got_flag, want_flag in zip(got[1:], want_flags):
             assert _same(got_flag, want_flag)
 
@@ -158,4 +159,4 @@ class TestMatchesNumPy:
         )
         assert field.calls == []
         assert values.shape == (0, 8)
-        assert [flag.shape for flag in flags] == [(0,)] * 3
+        assert [flag.shape for flag in flags] == [(0,)] * 2

@@ -5,13 +5,8 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import sdf
-from repro.geometry.marching import (
-    ExtractionStats,
-    dilate_cells,
-    marching_tetrahedra,
-    remap_cells,
-)
-from repro.geometry.octree import extract_surface, level_schedule
+from repro.geometry.marching import ExtractionStats, marching_tetrahedra
+from repro.geometry.octree import extract_surface
 from tests.geometry.frozen import assert_frozen
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
@@ -94,6 +89,42 @@ class TestDenseGridAPI:
         assert mesh.num_faces == 0
 
 
+_DENSE_FIELDS = {
+    "sphere": (sdf.sphere([0.1, -0.05, 0.0], 0.45), 0.0),
+    "sphere-iso": (sdf.sphere([0.1, -0.05, 0.0], 0.45), 0.1),
+    "box": (sdf.box([0.05, 0.0, 0.1], [0.4, 0.3, 0.2]), 0.0),
+    "smooth-union": (
+        sdf.smooth_union([
+            sdf.capsule([-0.4, 0.0, 0.0], [0.4, 0.1, 0.0], 0.15),
+            sdf.ellipsoid([0.0, 0.4, 0.0], [0.2, 0.25, 0.2]),
+        ]),
+        0.0,
+    ),
+}
+
+
+class TestDenseGridAgreement:
+    """The octree extractor gives, byte for byte, the mesh of
+    :func:`marching_tetrahedra` over the field sampled at every corner
+    of its finest grid (``lo + index * spacing``)."""
+
+    @pytest.mark.parametrize("resolution", (24, 64))
+    @pytest.mark.parametrize("name", sorted(_DENSE_FIELDS))
+    def test_extraction_equals_sampled_grid(self, name, resolution):
+        field, iso = _DENSE_FIELDS[name]
+        spacing = 2.0 / resolution
+        axis = BOUNDS[0][0] + np.arange(resolution + 1) * spacing
+        corners = np.stack(
+            np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1
+        )
+        values = field(corners.reshape(-1, 3)).reshape(corners.shape[:3])
+        want = marching_tetrahedra(values, BOUNDS[0], spacing, iso=iso)
+        got = extract_surface(field, BOUNDS, resolution, iso=iso)
+        assert want.num_faces > 0
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.faces.tobytes() == want.faces.tobytes()
+
+
 class TestValidation:
     def test_bad_bounds(self):
         with pytest.raises(GeometryError):
@@ -128,63 +159,16 @@ class TestExtractionStats:
         )
         assert mesh.num_faces > 0
         assert stats.field_evaluations > 0
-        assert not stats.warm_started
-        assert stats.resolution == 96
         assert stats.surface_cells is not None
         assert len(stats.surface_cells) > 0
-        assert stats.spacing > 0
+        assert stats.selection.leaves
 
 
-class TestDilateCells:
-    def test_single_cell_ball(self):
-        cells = np.array([[5, 5, 5]])
-        out = dilate_cells(cells, 1, 16)
-        assert len(out) == 27
-        assert np.abs(out - cells).max() == 1
+class TestFrozenSpheres:
+    """Sphere extractions pinned to the retired dense path's meshes and
+    evaluation counts (see :mod:`tests.geometry.frozen`)."""
 
-    def test_clips_to_grid(self):
-        out = dilate_cells(np.array([[0, 0, 0]]), 2, 16)
-        assert out.min() == 0
-        assert len(out) == 27  # the octant that stays in the grid
-
-    def test_zero_dilation_identity(self):
-        cells = np.array([[3, 4, 5], [1, 1, 1]])
-        out = dilate_cells(cells, 0, 8)
-        linear = (out[:, 0] * 8 + out[:, 1]) * 8 + out[:, 2]
-        assert np.all(np.diff(linear) > 0)
-        assert len(out) == 2
-
-    def test_output_sorted_unique(self):
-        rng = np.random.default_rng(2)
-        cells = rng.integers(0, 20, size=(50, 3))
-        out = dilate_cells(cells, 2, 20)
-        linear = (out[:, 0] * 20 + out[:, 1]) * 20 + out[:, 2]
-        assert np.all(np.diff(linear) > 0)
-
-    def test_negative_dilation_raises(self):
-        for cells in (
-            np.zeros((0, 3), dtype=np.int64),
-            np.array([[5, 5, 5]]),
-            np.array([[3, 4, 5], [1, 1, 1]]),
-        ):
-            with pytest.raises(GeometryError, match="dilation"):
-                dilate_cells(cells, -1, 16)
-            with pytest.raises(GeometryError, match="dilation"):
-                remap_cells(cells, np.zeros(3), 0.1, np.zeros(3), 0.1,
-                            16, dilation=-1)
-
-
-class TestSeededExtraction:
-    """Finest-depth warm starts, pinned to the retired dense path's
-    meshes and evaluation counts (see :mod:`tests.geometry.frozen`)."""
-
-    @staticmethod
-    def _finest(resolution, cells):
-        return [(len(level_schedule(resolution)) - 1, cells)]
-
-    def test_seeded_matches_cold_for_moved_sphere(self):
-        """A translated sphere re-extracted from the previous frame's
-        dilated surface cells gives the bit-identical mesh."""
+    def test_sphere_and_moved_sphere(self):
         resolution = 96
         stats = ExtractionStats()
         first = extract_surface(
@@ -196,43 +180,4 @@ class TestSeededExtraction:
         cold = extract_surface(moved, BOUNDS, resolution, stats=cold_stats)
         assert_frozen(
             "moved-sphere-r96-cold", cold, cold_stats.field_evaluations
-        )
-        seeds = dilate_cells(stats.surface_cells, 2, resolution)
-        warm_stats = ExtractionStats()
-        warm = extract_surface(
-            moved, BOUNDS, resolution,
-            seed_leaves=self._finest(resolution, seeds),
-            stats=warm_stats,
-        )
-        assert warm_stats.warm_started
-        assert_frozen(
-            "moved-sphere-r96-seeded", warm, warm_stats.field_evaluations
-        )
-        assert np.array_equal(warm.vertices, cold.vertices)
-        assert np.array_equal(warm.faces, cold.faces)
-
-    def test_empty_seed_falls_back_to_cascade(self):
-        stats = ExtractionStats()
-        mesh = extract_surface(
-            sdf.sphere([0, 0, 0], 0.5), BOUNDS, 96,
-            seed_leaves=self._finest(
-                96, np.zeros((0, 3), dtype=np.int64)
-            ),
-            stats=stats,
-        )
-        assert not stats.warm_started
-        assert_frozen("sphere-r96", mesh, stats.field_evaluations)
-
-    def test_bad_seed_misses_surface(self):
-        """Seeds nowhere near the surface produce an empty mesh — the
-        caller (reconstructor) is responsible for falling back."""
-        seeds = np.array([[0, 0, 0], [1, 0, 0]])
-        stats = ExtractionStats()
-        mesh = extract_surface(
-            sdf.sphere([0, 0, 0], 0.4), BOUNDS, 96,
-            seed_leaves=self._finest(96, seeds), stats=stats,
-        )
-        assert mesh.num_faces == 0
-        assert_frozen(
-            "sphere-r96-bad-seed", mesh, stats.field_evaluations
         )

@@ -3,13 +3,13 @@
 A budget that stops cells no deeper than another one sees, at every
 depth, a subset of that budget's cells with identical corner values.
 So the leaves of every tier of a gaze ladder can be selected from one
-cold refinement at the finest tier, and only polygonisation runs per
+refinement at the finest tier, and only polygonisation runs per
 tier.  These tests pin that the derived meshes are byte-identical to
 each tier's own extraction — random capsule unions and body poses under
 random ladders, and the frozen broadcast-tier tables — and that every
 record that cannot serve a budget is refused, so the caller extracts
 from the field instead.  Without a budget the same fields give the
-same mesh from every root grid, cold and warm.
+same mesh from every root grid.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.geometry.octree import (
     derive_surface,
     extract_surface_octree,
     select_leaves,
-    warm_seeds,
 )
 from repro.geometry.sdf import FusedCapsuleUnion
 from repro.serve.broadcast import gaze_tiers
@@ -39,10 +38,6 @@ from tests.geometry.frozen import (
 )
 
 BOX = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
-
-_STATS_FIELDS = (
-    "surface_cells", "leaf_cells", "leaf_depths", "origin",
-)
 
 
 def _capsule_union(rng):
@@ -112,14 +107,18 @@ def _same_mesh(a, b):
     )
 
 
+def _assert_same_leaves(leaves, want):
+    """The leaf groups themselves, not only what they polygonise to:
+    depths, cells, corner values and flags, in order."""
+    assert [leaf[0] for leaf in leaves] == [leaf[0] for leaf in want]
+    for leaf, want_leaf in zip(leaves, want):
+        for array, want_array in zip(leaf[1:], want_leaf[1:]):
+            assert np.array_equal(array, want_array)
+
+
 def _assert_same_stats(derived, solo):
-    for name in _STATS_FIELDS:
-        assert np.array_equal(
-            getattr(derived, name), getattr(solo, name)
-        ), name
-    assert derived.leaf_levels == solo.leaf_levels
-    assert derived.spacing == solo.spacing
-    assert derived.resolution == solo.resolution
+    assert np.array_equal(derived.surface_cells, solo.surface_cells)
+    _assert_same_leaves(derived.selection.leaves, solo.selection.leaves)
     assert derived.cells_refined == solo.cells_refined
     assert derived.cells_skipped_gaze == solo.cells_skipped_gaze
     assert derived.field_evaluations == 0
@@ -166,14 +165,10 @@ class TestDerivedTiersMatchSolo:
             assert got is not None
             assert _same_mesh(got, want)
             _assert_same_stats(derived, solo)
-            # The leaf groups themselves, not only what they polygonise
-            # to: cells, corner values and flags, in order.
-            leaves = select_leaves(shared.refinement, budget).leaves
-            own = solo.refinement.selection.leaves
-            assert [leaf[0] for leaf in leaves] == [leaf[0] for leaf in own]
-            for leaf, want_leaf in zip(leaves, own):
-                for array, want_array in zip(leaf[1:], want_leaf[1:]):
-                    assert np.array_equal(array, want_array)
+            _assert_same_leaves(
+                select_leaves(shared.refinement, budget).leaves,
+                solo.refinement.selection.leaves,
+            )
 
     @pytest.mark.parametrize(
         "sequence",
@@ -181,22 +176,20 @@ class TestDerivedTiersMatchSolo:
         ids=lambda seq: seq[0],
     )
     def test_frozen_broadcast_tiers(self, sequence):
-        """The broadcast's tiers 1 and 2, derived from tier 0's cold
-        refinement, reproduce the frozen cold meshes."""
+        """The broadcast's tiers 1 and 2, derived from tier 0's
+        refinement, reproduce the frozen meshes."""
         prefix, budget, resolution, motion, n_frames = sequence
         tier0 = gaze_tiers(3)[0]
         for index, frame in enumerate(motion(n_frames=n_frames).frames):
             finest = KeypointMeshReconstructor(
-                resolution=resolution, octree_base=MIXED_ROOT,
-                warm_start=False,
+                resolution=resolution, octree_base=MIXED_ROOT
             )
             finest.set_depth_budget(tier0)
             record = finest.reconstruct(
                 pose=frame.pose, keep_refinement=True
             ).refinement
             rec = KeypointMeshReconstructor(
-                resolution=resolution, octree_base=MIXED_ROOT,
-                warm_start=False,
+                resolution=resolution, octree_base=MIXED_ROOT
             )
             rec.set_depth_budget(budget)
             result = rec.reconstruct(pose=frame.pose, refinement=record)
@@ -266,9 +259,9 @@ class TestRootIndependence:
         root=st.sampled_from((2, 3, 4, 8, 16, 32, None)),
         resolution=st.integers(24, 128),
     )
-    # One level of 25 cells whose far-face cells straddle: the cold
-    # root pass once placed its last corner plane at the box's far
-    # edge, while the warm pass used 25 * spacing, an ulp away.
+    # One level of 25 cells whose far-face cells straddle: a root pass
+    # once placed its last corner plane at the box's far edge, an ulp
+    # away from 25 * spacing.
     @example(seed=81, body=True, root=2, resolution=25)
     def test_random_fields_roots_and_resolutions(
         self, seed, body, root, resolution
@@ -276,56 +269,10 @@ class TestRootIndependence:
         rng = np.random.default_rng(seed)
         field, bounds = (_posed_body if body else _two_lipschitz_union)(rng)
         want = extract_surface_octree(field, bounds, resolution)
-        cold = ExtractionStats()
         got = extract_surface_octree(
-            field, bounds, resolution, base_resolution=root, stats=cold
+            field, bounds, resolution, base_resolution=root
         )
         assert _same_mesh(got, want)
-        # Warm: seeded from the cold pass's leaves at the same root.
-        seeds = warm_seeds(
-            cold, bounds, resolution, base_resolution=root
-        )
-        assert seeds is not None
-        warm = ExtractionStats()
-        got = extract_surface_octree(
-            field, bounds, resolution, base_resolution=root,
-            seed_leaves=seeds, stats=warm,
-        )
-        assert warm.warm_started
-        assert _same_mesh(got, want)
-
-
-class TestWarmStartState:
-    def test_derived_frame_leaves_cold_frame_state(self):
-        """A derived tier leaves its reconstructor the warm-start state
-        a cold extraction leaves, so the next frames (warm-started
-        from it) match too."""
-        tier0, tier1 = gaze_tiers(2)
-        frames = talking(n_frames=3).frames
-
-        def reconstructor(budget, warm_start=True):
-            rec = KeypointMeshReconstructor(
-                resolution=64, octree_base=16, warm_start=warm_start
-            )
-            rec.set_depth_budget(budget)
-            return rec
-
-        finest = reconstructor(tier0, warm_start=False)
-        derived, cold = reconstructor(tier1), reconstructor(tier1)
-        record = finest.reconstruct(
-            pose=frames[0].pose, keep_refinement=True
-        ).refinement
-        first = derived.reconstruct(pose=frames[0].pose, refinement=record)
-        assert first.derived
-        want = cold.reconstruct(pose=frames[0].pose)
-        assert _same_mesh(first.mesh, want.mesh)
-        _assert_same_stats(derived._prev_stats, cold._prev_stats)
-        for frame in frames[1:]:
-            a = derived.reconstruct(pose=frame.pose)
-            b = cold.reconstruct(pose=frame.pose)
-            assert a.warm_started and b.warm_started
-            assert a.field_evaluations == b.field_evaluations
-            assert _same_mesh(a.mesh, b.mesh)
 
 
 def _budget(drop, eye=(0.0, 1.4, 2.6), cone=12.0):
@@ -350,13 +297,12 @@ class TestRefusals:
         return PosedBodyField(pose=pose), pose
 
     @classmethod
-    def _record(cls, budget, seed_leaves=None):
+    def _record(cls, budget):
         field, _ = cls._field()
         stats = ExtractionStats()
         extract_surface_octree(
             field, field.bounds(), cls.RESOLUTION,
-            base_resolution=cls.ROOT, budget=budget,
-            seed_leaves=seed_leaves, stats=stats,
+            base_resolution=cls.ROOT, budget=budget, stats=stats,
         )
         return stats
 
@@ -365,16 +311,14 @@ class TestRefusals:
         assert select_leaves(record, budget) is None
         _, pose = cls._field()
         rec = KeypointMeshReconstructor(
-            resolution=cls.RESOLUTION, octree_base=cls.ROOT,
-            warm_start=False,
+            resolution=cls.RESOLUTION, octree_base=cls.ROOT
         )
         rec.set_depth_budget(budget)
         result = rec.reconstruct(pose=pose, refinement=record)
         assert not result.derived
         assert result.field_evaluations > 0
         solo = KeypointMeshReconstructor(
-            resolution=cls.RESOLUTION, octree_base=cls.ROOT,
-            warm_start=False,
+            resolution=cls.RESOLUTION, octree_base=cls.ROOT
         )
         solo.set_depth_budget(budget)
         assert _same_mesh(result.mesh, solo.reconstruct(pose=pose).mesh)
@@ -383,21 +327,6 @@ class TestRefusals:
         record = self._record(_budget(2)).refinement
         self._assert_falls_back(record, _budget(1))
         self._assert_falls_back(record, None)
-
-    def test_warm_started_record(self):
-        field, _ = self._field()
-        prev = self._record(_budget(0))
-        seeds = warm_seeds(
-            prev, field.bounds(), self.RESOLUTION, self.ROOT,
-            budget=_budget(0),
-        )
-        assert seeds is not None
-        record = self._record(_budget(0), seed_leaves=seeds).refinement
-        assert record.warm
-        # Its own budget's leaves are no exception: a warm record has
-        # no coarse depths to select from.
-        self._assert_falls_back(record, _budget(0))
-        self._assert_falls_back(record, _budget(2))
 
     def test_different_eye_or_cone(self):
         record = self._record(_budget(1)).refinement

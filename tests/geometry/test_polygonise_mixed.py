@@ -5,8 +5,8 @@ what the sort-based resolution in :mod:`tests.reference_mixed` returns
 — the same vertex and face bytes and the same surface cells — for any
 coarse-first leaf set.  The synthetic leaf sets below mix depth groups
 of 1, 2, 4 and 8 fine cells per leaf edge, with same-depth leaves
-sharing faces, leaves of different depths overlapping (as warm seeds
-produce), per-depth fields that disagree (so which depth wins a corner
+sharing faces, leaves of different depths overlapping (the coarsest
+covering leaf must win), per-depth fields that disagree (so which depth wins a corner
 matters), iso levels off zero and tied to sampled values, NaN corners,
 empty straddle sets, and a dedup limit small enough to force at least
 three x-slabs.
@@ -27,8 +27,7 @@ DEPTHS = 4  # fine cells per leaf edge: 8, 4, 2, 1
 
 
 def _leaf_set(seed, root, depths, surface, nan):
-    """Coarse-first ``(depth, cells, corner_values, strad, seedable)``
-    leaves over the schedule ``root * 2**d``."""
+    """Coarse-first ``(depth, cells, corner_values, strad)`` leaves over the schedule ``root * 2**d``."""
     rng = np.random.default_rng(seed)
     levels = tuple(root << d for d in range(DEPTHS))
     center = rng.uniform(0.3, 0.7, size=3)
@@ -59,7 +58,7 @@ def _leaf_set(seed, root, depths, surface, nan):
             cells = lo[None]
         values = _gather_corner_values(field, cells)
         flags = np.zeros(len(cells), dtype=bool)
-        leaves.append((depth, cells, values, flags, flags))
+        leaves.append((depth, cells, values, flags))
     return leaves, levels
 
 
@@ -81,7 +80,7 @@ def _slab_limit(leaves, levels, slabs_rng):
     x-slabs, or None when the box is too thin to split that far."""
     resolution = levels[-1]
     lows, highs = [], []
-    for depth, cells, _, _, _ in leaves:
+    for depth, cells, _, _ in leaves:
         s = resolution // levels[depth]
         lows.append(cells.min(axis=0) * s)
         highs.append((cells.max(axis=0) + 1) * s)

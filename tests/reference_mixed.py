@@ -44,7 +44,7 @@ def reference_polygonise_mixed(
     id_parts = []
     val_parts = []
     cand_parts = []
-    for depth, cells, corner_values, _, _ in leaves:
+    for depth, cells, corner_values, _ in leaves:
         s = resolution // levels[depth]
         base = cells * s
         if s == 1:

@@ -1,12 +1,11 @@
 """One octree refinement per broadcast frame, through the engine.
 
-In process, the serving engine keeps the latest cold refinement made
-under a gaze budget, keyed on the exact transmitted parameters.  A
-cache miss of another tier of the same frame is polygonised from it
-without evaluating the field; anything else — another frame, a pose in
-the same mesh-cache bucket that differs bitwise, a warm-started record
-— refines from the field.  Every served mesh equals a cold extraction
-of its own frame and tier.
+In process, the serving engine keeps the latest refinement made under
+a gaze budget, keyed on the exact transmitted parameters.  A cache miss
+of another tier of the same frame is polygonised from it without
+evaluating the field; anything else — another frame, or a pose in the
+same mesh-cache bucket that differs bitwise — refines from the field.
+Every served mesh equals a fresh extraction of its own frame and tier.
 """
 
 import numpy as np
@@ -49,9 +48,7 @@ def _decode(engine, pipes, tier, index, pose):
 
 
 def _cold(pose, tier):
-    rec = KeypointMeshReconstructor(
-        resolution=RESOLUTION, octree_base=ROOT, warm_start=False
-    )
+    rec = KeypointMeshReconstructor(resolution=RESOLUTION, octree_base=ROOT)
     rec.set_depth_budget(TIERS[tier])
     return rec.reconstruct(pose=pose).mesh
 
@@ -123,8 +120,8 @@ class TestOneRefinementPerFrame:
             assert decoded.metadata["field_evaluations"] > 0
             assert _same_mesh(decoded.surface, _cold(pose_b, 1))
             assert _refinements(engine) == 2
-            # Tier 1's cold refinement of pose B is now the record, and
-            # it covers tier 2.
+            # Tier 1's refinement of pose B is now the record, and it
+            # covers tier 2.
             decoded = _decode(engine, pipes, 2, 1, pose_b)
             assert decoded.metadata["field_evaluations"] == 0
             assert _same_mesh(decoded.surface, _cold(pose_b, 2))
@@ -138,27 +135,40 @@ class TestLifecycle:
         engine = ServingEngine(ServingConfig(workers=0))
         for tier in range(len(TIERS)):
             _decode(engine, pipes, tier, 0, pose)
-        # One slot: tier 0's cold refinement, which served the others.
-        _, record = engine._refinement
-        assert not record.warm
+        # One slot: tier 0's refinement, which served the others.
+        assert engine._refinement is not None
         engine.close()
         assert engine._refinement is None
 
-    def test_fallback_after_warm_tier0_frame(self, backend):
-        """Frame 1's tier 0 warm-starts, so its record cannot serve:
-        tier 1 extracts from the field, starting from the warm-start
-        state its derived frame 0 left, and still equals a cold
-        extraction bit for bit."""
-        frames = talking(n_frames=3).frames
+    def test_one_refinement_per_sender_frame(self, backend):
+        """Over a multi-frame 3-tier broadcast every frame refines once,
+        at tier 0, and every tier-1 and tier-2 result is derived from
+        that refinement (no state carries between frames to stop
+        it)."""
+        frames = talking(n_frames=4).frames
         pipes = _viewers()
+        results = {tier: [] for tier in range(len(TIERS))}
+        for tier, pipe in enumerate(pipes):
+            rec = pipe.reconstructor
+
+            def spy(*args, _rec=rec, _out=results[tier], **kwargs):
+                result = type(_rec).reconstruct(_rec, *args, **kwargs)
+                _out.append(result)
+                return result
+
+            rec.reconstruct = spy
         with ServingEngine(ServingConfig(workers=0)) as engine:
             for index, frame in enumerate(frames):
-                tier0 = _decode(engine, pipes, 0, index, frame.pose)
-                tier1 = _decode(engine, pipes, 1, index, frame.pose)
-                assert _same_mesh(tier1.surface, _cold(frame.pose, 1))
-                if index == 0:
-                    assert tier1.metadata["field_evaluations"] == 0
-                else:
-                    assert tier0.metadata["warm_started"]
-                    assert tier1.metadata["field_evaluations"] > 0
-            assert _refinements(engine) == 1 + 2 * (len(frames) - 1)
+                for tier in range(len(TIERS)):
+                    decoded = _decode(engine, pipes, tier, index,
+                                      frame.pose)
+                    assert _same_mesh(
+                        decoded.surface, _cold(frame.pose, tier)
+                    )
+            assert _refinements(engine) == len(frames)
+        assert all(len(r) == len(frames) for r in results.values())
+        assert not any(result.derived for result in results[0])
+        for tier in (1, 2):
+            for result in results[tier]:
+                assert result.derived
+                assert result.field_evaluations == 0

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs.clock import monotonic
 from repro.avatar.reconstructor import KeypointMeshReconstructor
-from repro.body.motion import talking
+from repro.body.motion import talking, waving
 from repro.errors import BackpressureError, PipelineError, ServingError
 from repro.serve.pool import ReconstructionPool
 
@@ -31,9 +31,9 @@ def poses():
 
 class TestRoundTrip:
     def test_pooled_meshes_match_sequential(self, poses):
-        """Shared-memory transfer and per-worker warm start are exact:
-        the pooled stream reproduces the sequential reconstructor's
-        meshes bit for bit."""
+        """Shared-memory transfer is exact: the pooled stream
+        reproduces the sequential reconstructor's meshes bit for
+        bit."""
         sequential = KeypointMeshReconstructor(resolution=48)
         expected = [
             sequential.reconstruct(pose=pose) for pose in poses
@@ -51,18 +51,31 @@ class TestRoundTrip:
         assert all(r.seconds > 0 for r in results)
         assert all(r.cpu_seconds > 0 for r in results)
 
-    def test_warm_start_engages_and_resets(self, poses):
-        with ReconstructionPool(workers=1) as pool:
-            first = pool.reconstruct("s", 0, pose=poses[0],
-                                     resolution=128)
-            second = pool.reconstruct("s", 1, pose=poses[1],
-                                      resolution=128)
-            assert not first.warm_started
-            assert second.warm_started
-            pool.reset_stream("s")
-            third = pool.reconstruct("s", 2, pose=poses[2],
-                                     resolution=128)
-            assert not third.warm_started
+    def test_interleaved_streams_match_solo(self, poses):
+        """Workers keep no per-stream state: frames of several streams
+        submitted interleaved, two of them pinned to one worker, give
+        each frame's solo mesh and evaluation count byte for byte."""
+        frames = {
+            "a": poses,
+            "b": [f.pose for f in waving(n_frames=3, seed=1).frames],
+            "c": poses[::-1],
+        }
+        with ReconstructionPool(workers=2) as pool:
+            jobs = [
+                (s, i, pool.submit(s, i, pose=frames[s][i], resolution=48))
+                for i in range(3)
+                for s in ("a", "b", "c")
+            ]
+            assert pool.worker_for("a") == pool.worker_for("c")
+            results = [(s, i, pool.result(job)) for s, i, job in jobs]
+        for stream, i, got in results:
+            want = KeypointMeshReconstructor(resolution=48).reconstruct(
+                pose=frames[stream][i]
+            )
+            assert got.mesh.vertices.tobytes() == \
+                want.mesh.vertices.tobytes()
+            assert got.mesh.faces.tobytes() == want.mesh.faces.tobytes()
+            assert got.field_evaluations == want.field_evaluations
 
 
 class TestRouting:
@@ -181,10 +194,9 @@ class TestTimeout:
 class TestCoalescing:
     def test_coalesced_output_byte_identical(self, poses):
         """Cross-stream batching changes *when* kernel calls happen,
-        never *what* is computed: meshes, evaluation counts, and the
-        warm-start behaviour of a coalesced run match the sequential
-        reconstructor byte for byte — while the batch metrics prove
-        real coalescing occurred."""
+        never *what* is computed: meshes and evaluation counts of a
+        coalesced run match the sequential reconstructor byte for byte
+        — while the batch metrics prove real coalescing occurred."""
         streams = ["a", "b", "c", "d"]
         expected = {}
         for stream in streams:
@@ -211,7 +223,6 @@ class TestCoalescing:
                                       want.mesh.vertices)
                 assert np.array_equal(have.mesh.faces, want.mesh.faces)
                 assert have.field_evaluations == want.field_evaluations
-                assert have.warm_started == want.warm_started
         # The window plus the submit backlog guarantee real batches.
         assert coalesced > 0
         assert any(
@@ -220,9 +231,8 @@ class TestCoalescing:
         assert size_hist.count > 0
 
     def test_same_stream_jobs_never_coalesce(self, poses):
-        """Two frames of one stream must stay sequential (warm-start
-        exactness and per-stream FIFO), so a backlog of a single
-        stream yields solo dispatches only — in frame order."""
+        """Two frames of one stream stay sequential (per-stream FIFO),
+        so a backlog of a single stream yields solo dispatches only."""
         with ReconstructionPool(
             workers=1, coalesce_window=0.25, max_batch=8
         ) as pool:
@@ -235,15 +245,6 @@ class TestCoalescing:
             assert all(r.batch_size == 1 for r in results)
             assert pool.metrics.value("serve.pool.batch.coalesced") == 0
             assert pool.metrics.value("serve.pool.batch.solo") == 3
-            # Frame order preserved: the second job warm-starts off
-            # the first at a resolution where warm start engages.
-        with ReconstructionPool(
-            workers=1, coalesce_window=0.25, max_batch=8
-        ) as pool:
-            first = pool.submit("s", 0, pose=poses[0], resolution=128)
-            second = pool.submit("s", 1, pose=poses[1], resolution=128)
-            assert not pool.result(first).warm_started
-            assert pool.result(second).warm_started
 
     def test_coalescing_disabled(self, poses):
         with ReconstructionPool(

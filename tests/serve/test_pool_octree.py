@@ -28,7 +28,7 @@ class TestPooledOctree:
     def test_pooled_matches_sequential(self, poses):
         """Octree config and per-job gaze wire survive the process
         boundary: the pooled stream reproduces the in-process octree
-        reconstructor bit for bit, warm start included."""
+        reconstructor bit for bit."""
         budget = _budget()
         sequential = KeypointMeshReconstructor(
             resolution=48, octree_base=32

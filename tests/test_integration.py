@@ -136,10 +136,11 @@ class TestPaperClaims:
         self, talking_ds
     ):
         """§4's punchline: reconstruction, not bandwidth, is the
-        keypoint bottleneck."""
+        keypoint bottleneck, at the lowest resolution the paper
+        evaluates (``SUPPORTED_RESOLUTIONS``, §4.1)."""
         session = TelepresenceSession(
             talking_ds,
-            KeypointSemanticPipeline(resolution=64),
+            KeypointSemanticPipeline(resolution=128),
             link=us_broadband(),
         )
         summary = session.run(frames=2)
