@@ -46,6 +46,7 @@ from repro.body.template import compute_skinning
 from repro.compression.quantize import QuantizationGrid
 from repro.errors import PipelineError
 from repro.geometry.mesh import TriangleMesh
+from repro.geometry.transforms import invert_rigid
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -449,7 +450,7 @@ class AvatarStore:
         indices, weights = compute_skinning(
             mesh.vertices, segments, k=self.skin_k
         )
-        inverse = _invert_rigid(pose_transforms(pose, shape))
+        inverse = invert_rigid(pose_transforms(pose, shape))
         republish = key in self._entries
         if republish:
             self._unlink(key)
@@ -739,9 +740,3 @@ class AvatarStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _invert_rigid(transforms: np.ndarray) -> np.ndarray:
-    from repro.geometry.transforms import invert_rigid
-
-    return invert_rigid(transforms)

@@ -23,11 +23,27 @@ point keeps the bits the full walk gives it, whichever other points
 share its call (see the comment above ``cull_problem`` in the C
 source).
 
+Each bin's points walk its list together, several at once in SIMD
+lanes.  The group evaluator is written once over a vector of ``W``
+doubles (GCC/Clang vector extensions): every lane runs the scalar
+per-point expression, the same IEEE operations in the same order, and
+every branch on a point's value becomes a bitwise select of the value
+the branch keeps; the no-op skip passes a primitive over only when
+every lane skips it, and a skipping lane keeps its running value.  So
+no bit depends on the width or on which points share a group, and the
+width is chosen per call by the host alone: 4 lanes compiled for AVX2
+on x86-64 hosts that have it, else 2 (one SSE2 or NEON register; 4
+lanes without AVX2 split into register pairs and ran slower than one
+point at a time).  :attr:`CapsuleKernel.lanes` names the host's width.
+
 The library exports evaluator and extraction entry points.  The first
-two share one per-problem evaluator:
+three share one per-problem evaluator:
 
 * ``capsule_union_sdf`` — one (primitive set, query points) problem,
   the original single-problem call.
+* ``capsule_union_sdf_lanes`` — the same at a width given by the
+  caller, so tests hold every width the host offers to the NumPy
+  evaluator; it returns the width that ran (0 when the host lacks it).
 * ``capsule_union_sdf_batch`` — a ragged batch of independent problems
   in a single call.  Per-problem primitive counts and point counts are
   described by offset arrays (problem ``b`` owns points
@@ -38,7 +54,7 @@ two share one per-problem evaluator:
   disjoint output slice, batched results are bit-identical to the
   equivalent sequence of solo calls regardless of thread scheduling.
 
-The third, ``polygonise_cells``, is the compiled marching-tetrahedra
+``polygonise_cells`` is the compiled marching-tetrahedra
 pass behind :func:`repro.geometry.marching._polygonise`: it reproduces
 the NumPy pass's vertices and faces bit for bit (see the comment above
 it in the C source), so the mesh does not depend on which pass ran.
@@ -50,12 +66,13 @@ after it, byte for byte as the NumPy pass computes them.
 
 The compiled library is cached in a per-user temp directory (or under
 ``REPRO_KERNEL_CACHE``) in a subdirectory named by a hash of the
-source, so the cost of compilation is paid once per source revision
-and a library built from other source is never loaded.  A failed build
-is cached (with a one-line warning) so no process retries the compiler
-on every call; set ``REPRO_DISABLE_C_KERNEL=1`` to force the NumPy
-backend — the variable is consulted on every lookup, so it is honored
-even after a successful earlier load.
+source and the compiler command, so the cost of compilation is paid
+once per source revision and a library built from other source or with
+other flags is never loaded.  A failed build is cached (with a one-line
+warning) so no process retries the compiler on every call; set
+``REPRO_DISABLE_C_KERNEL=1`` to force the NumPy backend — the variable
+is consulted on every lookup, so it is honored even after a successful
+earlier load.
 """
 
 from __future__ import annotations
@@ -64,6 +81,7 @@ import ctypes
 import getpass
 import hashlib
 import os
+import string
 import subprocess
 import tempfile
 import warnings
@@ -79,7 +97,7 @@ __all__ = [
     "reset_kernel_cache",
 ]
 
-_SOURCE = r"""
+_PROBLEM = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -90,81 +108,166 @@ _SOURCE = r"""
 
    Distances and the left-to-right smooth-min fold replicate the NumPy
    closure chain (repro.geometry.sdf.rounded_cone / smooth_union)
-   operation for operation, so results match to ~1 ulp.  A cheap
-   squared-distance bound skips the exact distance (and the fold step)
-   for primitives that are provably further than the blend radius above
-   the running minimum -- such steps are exact no-ops in the fold.
+   operation for operation.  A cheap squared-distance bound skips the
+   exact distance (and the fold step) for primitives that are provably
+   further than the blend radius above the running minimum -- such
+   steps are exact no-ops in the fold.
 
-   eval_point folds primitives list[0..n_list) in that order (all of
-   them when list is NULL), then the ellipsoid.  */
-static double eval_point(
-    double px, double py, double pz,
-    const int32_t *list, int64_t n_list,
-    const double *a, const double *ab, const double *denom,
-    const double *ra, const double *dr, const double *rmax,
-    int64_t k_prims,
-    const double *ell_center, const double *ell_radii, int has_ell,
-    double kb, double inv2k)
+   A problem: k primitives (segment starts a, axes ab, squared lengths
+   denom, radii ra + dr * t, rmax the larger end), an optional
+   ellipsoid folded last, and the blend kb (inv2k = 0.5 / kb).  */
+typedef struct {
+    const double *a, *ab, *denom, *ra, *dr, *rmax;
+    int64_t k;
+    const double *ell_center, *ell_radii;
+    int has_ell;
+    double kb, inv2k;
+} problem;
+
+/* A group evaluator folds primitives list[0..n_list) in that order (all
+   of them when list is NULL), then the ellipsoid, at the m points
+   pts[idx[0..m)] (pts[0..m) when idx is NULL), writing out[idx[s]].  */
+typedef void (*group_fn)(const double *pts, const int64_t *idx, int64_t m,
+                         const int32_t *list, int64_t n_list,
+                         const problem *P, double *out);
+"""
+
+# The group evaluator, written once over a vector of $W doubles and
+# instantiated per width (see _lane_group).
+_LANE_GROUP = r"""
+/* The group evaluator at $W lanes: one point per lane, every lane
+   running the scalar per-point expression.  Each lane operation is
+   the IEEE operation the scalar code performs, in the same order (FP
+   contraction off, no reassociation, IEEE division and sqrt), and
+   every branch on a point's value becomes a bitwise select of the
+   value the branch would have kept.  So a lane's bits are the scalar
+   walk's, whatever its neighbours hold:
+   - the clamps of t and h, and the hard min, are selects;
+   - the per-point skip is a lane mask: a step is passed over only
+     when every lane skips it, and a lane that skips keeps its acc;
+   - the ellipsoid computes both of its cases and selects one.
+   A group shorter than $W repeats its last point; only real lanes are
+   written back.  */
+typedef double vd$W __attribute__((vector_size(8 * $W)));
+typedef int64_t vm$W __attribute__((vector_size(8 * $W)));
+
+static inline $TARGET vd$W splat$W(double x)
 {
-    double acc = 0.0;
-    for (int64_t jj = 0; jj < n_list; ++jj) {
-        const int64_t j = list ? list[jj] : jj;
-        double pax = px - a[3*j], pay = py - a[3*j+1],
-               paz = pz - a[3*j+2];
-        double d;
-        if (denom[j] < 1e-18) {
-            d = sqrt((pax*pax + pay*pay) + paz*paz) - rmax[j];
-        } else {
-            double s = (pax*ab[3*j] + pay*ab[3*j+1]) + paz*ab[3*j+2];
-            double t = s / denom[j];
-            if (t < 0.0) t = 0.0; else if (t > 1.0) t = 1.0;
-            if (j > 0) {
-                double thresh = acc + kb + rmax[j];
-                if (thresh <= 0.0) continue;
-                double d2 = ((pax*pax + pay*pay) + paz*paz)
-                            - t * (2.0*s - t*denom[j]);
-                if (d2 > thresh*thresh + 1e-9) continue;
+    vd$W v;
+    for (int l = 0; l < $W; ++l) v[l] = x;
+    return v;
+}
+
+static inline $TARGET vd$W select$W(vm$W m, vd$W x, vd$W y)
+{
+    return (vd$W)((m & (vm$W)x) | (~m & (vm$W)y));
+}
+
+static inline $TARGET vd$W sqrt$W(vd$W x)
+{
+    for (int l = 0; l < $W; ++l) x[l] = sqrt(x[l]);
+    return x;
+}
+
+static inline $TARGET int all$W(vm$W m)
+{
+    int64_t all = m[0];
+    for (int l = 1; l < $W; ++l) all &= m[l];
+    return all != 0;
+}
+
+/* One fold step: the hard min for kb <= 0, else the smooth min.  */
+static inline $TARGET vd$W fold$W(vd$W acc, vd$W d, double kb,
+                                  double inv2k)
+{
+    if (kb <= 0.0) return select$W(d < acc, d, acc);
+    vd$W h = 0.5 + (acc - d) * inv2k;
+    h = select$W(h < 0.0, splat$W(0.0), h);
+    h = select$W(h > 1.0, splat$W(1.0), h);
+    return acc + (d - acc) * h - kb * h * (1.0 - h);
+}
+
+static $TARGET void eval_group$W(
+    const double *pts, const int64_t *idx, int64_t m,
+    const int32_t *list, int64_t n_list, const problem *P, double *out)
+{
+    const double kb = P->kb, inv2k = P->inv2k;
+    for (int64_t g = 0; g < m; g += $W) {
+        int64_t row[$W];
+        vd$W px, py, pz;
+        for (int l = 0; l < $W; ++l) {
+            const int64_t s = g + l < m ? g + l : m - 1;
+            row[l] = idx ? idx[s] : s;
+            px[l] = pts[3*row[l]];
+            py[l] = pts[3*row[l]+1];
+            pz[l] = pts[3*row[l]+2];
+        }
+        vd$W acc = splat$W(0.0);
+        for (int64_t jj = 0; jj < n_list; ++jj) {
+            const int64_t j = list ? list[jj] : jj;
+            const double *aj = P->a + 3*j, *abj = P->ab + 3*j;
+            const vd$W pax = px - aj[0], pay = py - aj[1], paz = pz - aj[2];
+            vm$W skip = {0};
+            vd$W d;
+            if (P->denom[j] < 1e-18) {
+                d = sqrt$W((pax*pax + pay*pay) + paz*paz) - P->rmax[j];
+            } else {
+                const vd$W s = (pax*abj[0] + pay*abj[1]) + paz*abj[2];
+                vd$W t = s / P->denom[j];
+                t = select$W(t < 0.0, splat$W(0.0), t);
+                t = select$W(t > 1.0, splat$W(1.0), t);
+                if (j > 0) {
+                    const vd$W thresh = acc + kb + P->rmax[j];
+                    const vd$W d2 = ((pax*pax + pay*pay) + paz*paz)
+                                    - t * (2.0*s - t*P->denom[j]);
+                    skip = (thresh <= 0.0) | (d2 > thresh*thresh + 1e-9);
+                    if (all$W(skip)) continue;
+                }
+                const vd$W dx = px - (aj[0] + t*abj[0]);
+                const vd$W dy = py - (aj[1] + t*abj[1]);
+                const vd$W dz = pz - (aj[2] + t*abj[2]);
+                d = sqrt$W((dx*dx + dy*dy) + dz*dz)
+                    - (P->ra[j] + P->dr[j]*t);
             }
-            double cx = a[3*j] + t*ab[3*j];
-            double cy = a[3*j+1] + t*ab[3*j+1];
-            double cz = a[3*j+2] + t*ab[3*j+2];
-            double dx = px-cx, dy = py-cy, dz = pz-cz;
-            d = sqrt((dx*dx + dy*dy) + dz*dz) - (ra[j] + dr[j]*t);
+            acc = j == 0 ? d
+                         : select$W(skip, acc, fold$W(acc, d, kb, inv2k));
         }
-        if (j == 0) { acc = d; continue; }
-        if (kb <= 0.0) { if (d < acc) acc = d; continue; }
-        double h = 0.5 + (acc - d) * inv2k;
-        if (h < 0.0) h = 0.0; else if (h > 1.0) h = 1.0;
-        acc = acc + (d - acc) * h - kb * h * (1.0 - h);
+        if (P->has_ell) {
+            const double *c = P->ell_center, *r = P->ell_radii;
+            const vd$W qx = (px - c[0]) / r[0], qy = (py - c[1]) / r[1],
+                       qz = (pz - c[2]) / r[2];
+            const vd$W k0 = sqrt$W((qx*qx + qy*qy) + qz*qz);
+            const vd$W rx = qx / r[0], ry = qy / r[1], rz = qz / r[2];
+            const vd$W k1 = sqrt$W((rx*rx + ry*ry) + rz*rz);
+            double rm = r[0];
+            if (r[1] < rm) rm = r[1];
+            if (r[2] < rm) rm = r[2];
+            const vd$W e = select$W(k1 > 1e-12, k0 * (k0 - 1.0) / k1,
+                                    splat$W(-rm));
+            acc = P->k == 0 ? e : fold$W(acc, e, kb, inv2k);
+        }
+        for (int l = 0; l < $W && g + l < m; ++l) out[row[l]] = acc[l];
     }
-    if (has_ell) {
-        double qx = (px - ell_center[0]) / ell_radii[0];
-        double qy = (py - ell_center[1]) / ell_radii[1];
-        double qz = (pz - ell_center[2]) / ell_radii[2];
-        double k0 = sqrt((qx*qx + qy*qy) + qz*qz);
-        double rx = qx / ell_radii[0], ry = qy / ell_radii[1],
-               rz = qz / ell_radii[2];
-        double k1 = sqrt((rx*rx + ry*ry) + rz*rz);
-        double e;
-        if (k1 > 1e-12) {
-            e = k0 * (k0 - 1.0) / k1;
-        } else {
-            double rm = ell_radii[0];
-            if (ell_radii[1] < rm) rm = ell_radii[1];
-            if (ell_radii[2] < rm) rm = ell_radii[2];
-            e = -rm;
-        }
-        if (k_prims == 0) {
-            acc = e;
-        } else if (kb <= 0.0) {
-            if (e < acc) acc = e;
-        } else {
-            double h = 0.5 + (acc - e) * inv2k;
-            if (h < 0.0) h = 0.0; else if (h > 1.0) h = 1.0;
-            acc = acc + (e - acc) * h - kb * h * (1.0 - h);
-        }
-    }
-    return acc;
+}
+"""
+
+_DRIVER = r"""
+/* Dispatch.  Every width computes every lane's scalar expression, so
+   the width changes the speed only, never a bit.  x86-64 hosts with
+   AVX2 run 4 lanes (the instantiation above is compiled for AVX2
+   alone, picked per call); every other host runs 2, one SSE2 or NEON
+   register.  On captured r128 flushes, against the scalar walk: 4
+   lanes with AVX2 ran ~2x faster, 2 lanes ~1.2x, and 4 lanes without
+   AVX2 (split into register pairs) at half its speed.  lanes_group
+   returns the evaluator for lanes (0: the host's width), NULL when the
+   host lacks it.  */
+static group_fn lanes_group(int lanes)
+{
+#if defined(__x86_64__)
+    const int avx2 = __builtin_cpu_supports("avx2");
+    if (lanes == 4 || (lanes == 0 && avx2)) return avx2 ? eval_group4 : 0;
+#endif
+    return lanes == 0 || lanes == 2 ? eval_group2 : 0;
 }
 
 /* Per-bin primitive cull.
@@ -194,14 +297,14 @@ static double eval_point(
    Points are counting-sorted by bin; each non-empty bin gets its own
    box (the bounding box of its points, tighter than the grid cell),
    its ordered list of surviving primitives, and its points evaluated
-   over that list, written back at their input positions.  Non-finite
-   points never enter the grid (no non-finite coordinate is ever
-   converted to an integer): they form one last group that walks every
-   primitive.  cull_problem returns 0 when it evaluated the problem and
-   -1 when it declined (too few points or primitives, non-finite
-   primitives or extents, allocation failure); the caller then runs the
-   plain loop.  Scratch memory is per call: batch threads run
-   eval_problem concurrently.  */
+   over that list by the group evaluator, written back at their input
+   positions.  Non-finite points never enter the grid (no non-finite
+   coordinate is ever converted to an integer): they form one last
+   group that walks every primitive.  cull_problem returns 0 when it
+   evaluated the problem and -1 when it declined (too few points or
+   primitives, non-finite primitives or extents, allocation failure);
+   the caller then walks every primitive at every point.  Scratch
+   memory is per call: batch threads run eval_problem concurrently.  */
 #define CULL_POINTS_PER_BIN 32
 #define CULL_MIN_POINTS (2 * CULL_POINTS_PER_BIN)
 
@@ -252,10 +355,8 @@ static double bin_edge(const double *ext, int64_t n_fin)
    smallest earlier upper bound by the blend plus margin.  Returns the
    list's length.  */
 static int64_t bin_list(
-    const double *pts, const int64_t *idx, int64_t m,
-    const double *a, const double *ab, const double *denom,
-    const double *ra, const double *dr, const double *rmax,
-    int64_t k_prims, double kpos, double margin, int32_t *list)
+    const double *pts, const int64_t *idx, int64_t m, const problem *P,
+    double kpos, double margin, int32_t *list)
 {
     double lo[3], hi[3], c[3], half[3];
     for (int d = 0; d < 3; ++d) lo[d] = hi[d] = pts[3*idx[0] + d];
@@ -274,15 +375,16 @@ static int64_t bin_list(
                           + half[2]*half[2]);
     int64_t n_list = 0;
     double u_min = INFINITY;
-    for (int64_t j = 0; j < k_prims; ++j) {
-        const double dist = seg_dist(c, a + 3*j, ab + 3*j, denom[j]);
-        if (j > 0 && dist - R - rmax[j] >= u_min + kpos + margin)
+    for (int64_t j = 0; j < P->k; ++j) {
+        const double dist = seg_dist(c, P->a + 3*j, P->ab + 3*j,
+                                     P->denom[j]);
+        if (j > 0 && dist - R - P->rmax[j] >= u_min + kpos + margin)
             continue;
         list[n_list++] = (int32_t)j;
-        double rmin = rmax[j];
-        if (denom[j] >= 1e-18) {
-            double rb = ra[j] + dr[j];
-            rmin = ra[j] < rb ? ra[j] : rb;
+        double rmin = P->rmax[j];
+        if (P->denom[j] >= 1e-18) {
+            double rb = P->ra[j] + P->dr[j];
+            rmin = P->ra[j] < rb ? P->ra[j] : rb;
         }
         const double u = dist + R - rmin;
         if (j == 0 || u < u_min) u_min = u;
@@ -290,28 +392,25 @@ static int64_t bin_list(
     return n_list;
 }
 
-static int cull_problem(
-    const double *pts, int64_t n,
-    const double *a, const double *ab, const double *denom,
-    const double *ra, const double *dr, const double *rmax,
-    int64_t k_prims,
-    const double *ell_center, const double *ell_radii, int has_ell,
-    double kb, double inv2k, double *out)
+static int cull_problem(const double *pts, int64_t n, const problem *P,
+                        group_fn group, double *out)
 {
-    if (n < CULL_MIN_POINTS || k_prims < 2 || !isfinite(kb))
+    const int64_t k_prims = P->k;
+    if (n < CULL_MIN_POINTS || k_prims < 2 || !isfinite(P->kb))
         return -1;
-    const double kpos = kb > 0.0 ? kb : 0.0;
+    const double kpos = P->kb > 0.0 ? P->kb : 0.0;
     double scale = kpos;
     for (int64_t j = 0; j < k_prims; ++j) {
         for (int d = 0; d < 3; ++d) {
-            double m = fabs(a[3*j+d]) + fabs(ab[3*j+d]);
+            double m = fabs(P->a[3*j+d]) + fabs(P->ab[3*j+d]);
             if (!isfinite(m)) return -1;
             if (m > scale) scale = m;
         }
-        double rb = ra[j] + dr[j];
-        if (!isfinite(denom[j]) || !isfinite(rb) || !isfinite(rmax[j]))
+        double rb = P->ra[j] + P->dr[j];
+        if (!isfinite(P->denom[j]) || !isfinite(rb)
+            || !isfinite(P->rmax[j]))
             return -1;
-        if (rmax[j] > scale) scale = rmax[j];
+        if (P->rmax[j] > scale) scale = P->rmax[j];
     }
 
     /* Bounding box of the finite points. */
@@ -387,20 +486,13 @@ static int cull_problem(
     for (int64_t b = 0; b <= n_bins; ++b) {
         const int64_t s0 = start[b], s1 = start[b + 1];
         if (s0 == s1) continue;
-        const int32_t *walk = 0; /* the non-finite group: every primitive */
-        int64_t n_walk = k_prims;
-        if (b < n_bins) {
-            walk = list;
-            n_walk = bin_list(pts, order + s0, s1 - s0, a, ab, denom, ra,
-                              dr, rmax, k_prims, kpos, margin, list);
+        if (b == n_bins) { /* the non-finite group: every primitive */
+            group(pts, order + s0, s1 - s0, 0, k_prims, P, out);
+            continue;
         }
-        for (int64_t s = s0; s < s1; ++s) {
-            const int64_t i = order[s];
-            out[i] = eval_point(pts[3*i], pts[3*i+1], pts[3*i+2],
-                                walk, n_walk, a, ab, denom, ra, dr, rmax,
-                                k_prims, ell_center, ell_radii, has_ell,
-                                kb, inv2k);
-        }
+        const int64_t n_list = bin_list(pts, order + s0, s1 - s0, P, kpos,
+                                        margin, list);
+        group(pts, order + s0, s1 - s0, list, n_list, P, out);
     }
     status = 0;
 done:
@@ -408,8 +500,8 @@ done:
     return status;
 }
 
-/* eval_problem is the one evaluator both entry points share: the solo
-   call wraps it directly and the ragged batch call loops (or threads)
+/* eval_problem is the one evaluator every entry point shares: the solo
+   calls wrap it directly and the ragged batch call loops (or threads)
    over per-problem slices, so batched output is bit-identical to the
    equivalent sequence of solo calls.  */
 static void eval_problem(
@@ -418,17 +510,12 @@ static void eval_problem(
     const double *ra, const double *dr, const double *rmax,
     int64_t k_prims,
     const double *ell_center, const double *ell_radii, int has_ell,
-    double kb, double *out)
+    double kb, group_fn group, double *out)
 {
-    double inv2k = (kb > 0.0) ? 0.5 / kb : 0.0;
-    if (cull_problem(pts, n, a, ab, denom, ra, dr, rmax, k_prims,
-                     ell_center, ell_radii, has_ell, kb, inv2k, out) == 0)
-        return;
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = eval_point(pts[3*i], pts[3*i+1], pts[3*i+2],
-                            0, k_prims, a, ab, denom, ra, dr, rmax,
-                            k_prims, ell_center, ell_radii, has_ell,
-                            kb, inv2k);
+    const problem P = {a, ab, denom, ra, dr, rmax, k_prims, ell_center,
+                       ell_radii, has_ell, kb, kb > 0.0 ? 0.5 / kb : 0.0};
+    if (cull_problem(pts, n, &P, group, out) != 0)
+        group(pts, 0, n, 0, k_prims, &P, out);
 }
 
 void capsule_union_sdf(
@@ -440,7 +527,26 @@ void capsule_union_sdf(
     double kb, double *out)
 {
     eval_problem(pts, n, a, ab, denom, ra, dr, rmax, k_prims,
-                 ell_center, ell_radii, has_ell, kb, out);
+                 ell_center, ell_radii, has_ell, kb, lanes_group(0), out);
+}
+
+/* capsule_union_sdf at a chosen width, so tests can hold every width
+   the host offers to the NumPy evaluator; 0 picks the host's width.
+   Returns the width that ran, or 0 (out untouched) when the host lacks
+   the width.  */
+int32_t capsule_union_sdf_lanes(
+    const double *pts, int64_t n,
+    const double *a, const double *ab, const double *denom,
+    const double *ra, const double *dr, const double *rmax,
+    int64_t k_prims,
+    const double *ell_center, const double *ell_radii, int has_ell,
+    double kb, double *out, int32_t lanes)
+{
+    const group_fn group = lanes_group(lanes);
+    if (!group) return 0;
+    eval_problem(pts, n, a, ab, denom, ra, dr, rmax, k_prims,
+                 ell_center, ell_radii, has_ell, kb, group, out);
+    return group == eval_group2 ? 2 : 4;
 }
 
 /* Ragged batch: problem b owns query points pts_off[b]:pts_off[b+1]
@@ -458,6 +564,7 @@ typedef struct {
     const int32_t *has_ell; const double *kb;
     int64_t n_problems; double *out;
     int64_t first; int64_t stride;
+    group_fn group;
 } batch_slice;
 
 static void *run_batch_slice(void *arg)
@@ -470,7 +577,8 @@ static void *run_batch_slice(void *arg)
                      s->a + 3 * k0, s->ab + 3 * k0, s->denom + k0,
                      s->ra + k0, s->dr + k0, s->rmax + k0, k1 - k0,
                      s->ell_center + 3 * b, s->ell_radii + 3 * b,
-                     (int)s->has_ell[b], s->kb[b], s->out + p0);
+                     (int)s->has_ell[b], s->kb[b], s->group,
+                     s->out + p0);
     }
     return 0;
 }
@@ -485,12 +593,13 @@ void capsule_union_sdf_batch(
     int64_t n_problems, int32_t n_threads, double *out)
 {
     if (n_problems <= 0) return;
+    const group_fn group = lanes_group(0);
     int64_t workers = n_threads;
     if (workers > n_problems) workers = n_problems;
     if (workers <= 1) {
         batch_slice s = {pts, pts_off, a, ab, denom, ra, dr, rmax,
                          prim_off, ell_center, ell_radii, has_ell, kb,
-                         n_problems, out, 0, 1};
+                         n_problems, out, 0, 1, group};
         run_batch_slice(&s);
         return;
     }
@@ -503,7 +612,7 @@ void capsule_union_sdf_batch(
         slices[w] = (batch_slice){pts, pts_off, a, ab, denom, ra, dr,
                                   rmax, prim_off, ell_center, ell_radii,
                                   has_ell, kb, n_problems, out,
-                                  w, workers};
+                                  w, workers, group};
         if (w == workers - 1 ||
             pthread_create(&threads[w], 0, run_batch_slice,
                            &slices[w]) != 0) {
@@ -517,6 +626,9 @@ void capsule_union_sdf_batch(
         pthread_join(threads[w], 0);
 }
 
+"""
+
+_PASSES = r"""
 /* The corner pass of one octree refinement level: the compiled twin of
    repro.geometry.marching._evaluate_corners' dense branch and of
    _classify, reproducing them byte for byte.  The field is evaluated
@@ -870,16 +982,39 @@ done:
 """
 
 
+def _lane_group(lanes: int, target: str = "") -> str:
+    """The group evaluator's C source at ``lanes`` lanes, its functions
+    compiled for ``target`` (a function attribute, or the build's
+    baseline when empty)."""
+    return string.Template(_LANE_GROUP).substitute(W=lanes, TARGET=target)
+
+
+_SOURCE = (
+    _PROBLEM
+    + "#if defined(__x86_64__)\n"
+    + _lane_group(4, '__attribute__((target("avx2")))')
+    + "#endif\n"
+    + _lane_group(2)
+    + _DRIVER
+    + _PASSES
+)
+
+
 @dataclass(frozen=True)
 class CapsuleKernel:
     """The compiled entry points: ``solo`` (one problem per call),
     ``level`` (the octree level corner pass: ``(level_box,
-    level_points, level_gather)``), ``batch`` (ragged multi-problem
-    call) and ``polygonise`` (marching tetrahedra over a cell list);
-    the last two are None when the loaded library predates them."""
+    level_points, level_gather)``), ``solo_lanes`` (``solo`` at the
+    width given as one more argument, for tests), ``batch`` (ragged
+    multi-problem call) and ``polygonise`` (marching tetrahedra over a
+    cell list); the last two are None when the loaded library predates
+    them.  ``lanes`` is the width ``solo`` and ``batch`` run at on this
+    host: 4 on x86-64 with AVX2, else 2."""
 
     solo: object
     level: tuple
+    solo_lanes: object
+    lanes: int
     batch: Optional[object] = None
     polygonise: Optional[object] = None
 
@@ -902,24 +1037,29 @@ def _cache_dir(digest: str) -> Path:
     return Path(tempfile.gettempdir()) / f"repro-kernels-{user}" / digest
 
 
+# The compiler's arguments besides the compiler and the paths.  FP
+# contraction off keeps every product and sum rounded on its own, as
+# NumPy rounds them; -fno-math-errno lets sqrt compile to the vector
+# instruction (it only stops libm from setting errno, no result moves).
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+
+
 def _build() -> Optional[CapsuleKernel]:
     """Compile (or reuse) the shared library; None when impossible."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    directory = _cache_dir(digest)
+    command = [os.environ.get("CC", "cc"), *_CFLAGS]
+    # A digest of the source and the command names the library, so one
+    # built from other source or with other flags is never loaded.
+    key = "\0".join([_SOURCE, *command])
+    directory = _cache_dir(hashlib.sha256(key.encode()).hexdigest()[:16])
     lib_path = directory / "capsule_union.so"
     if not lib_path.exists():
-        compiler = os.environ.get("CC", "cc")
         try:
             directory.mkdir(parents=True, exist_ok=True)
             src = directory / "capsule_union.c"
             src.write_text(_SOURCE)
             tmp = directory / f"capsule_union.{os.getpid()}.so"
             subprocess.run(
-                [
-                    compiler, "-O2", "-shared", "-fPIC",
-                    "-ffp-contract=off", "-o", str(tmp), str(src),
-                    "-lm", "-lpthread",
-                ],
+                [*command, "-o", str(tmp), str(src), "-lm", "-lpthread"],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -943,6 +1083,12 @@ def _build() -> Optional[CapsuleKernel]:
             double_p, double_p, ctypes.c_int,  # ellipsoid
             ctypes.c_double, double_p,  # blend, out
         ]
+        solo_lanes = lib.capsule_union_sdf_lanes
+        solo_lanes.restype = ctypes.c_int32
+        solo_lanes.argtypes = [*solo.argtypes, ctypes.c_int32]
+        # An empty call at width 0 runs the host's width and names it.
+        lanes = solo_lanes(None, 0, *[None] * 6, 0, None, None, 0, 0.0,
+                           None, 0)
         try:
             batch = lib.capsule_union_sdf_batch
             batch.restype = None
@@ -990,8 +1136,8 @@ def _build() -> Optional[CapsuleKernel]:
             double_p, ctypes.POINTER(ctypes.c_uint8),  # outputs
         ]
         return CapsuleKernel(
-            solo=solo, level=(box, points, gather), batch=batch,
-            polygonise=polygonise,
+            solo=solo, level=(box, points, gather), solo_lanes=solo_lanes,
+            lanes=lanes, batch=batch, polygonise=polygonise,
         )
     except Exception:
         return None

@@ -397,7 +397,7 @@ class FusedCapsuleUnion:
         return out
 
     def _eval_numpy(self, p: np.ndarray) -> np.ndarray:
-        """The C kernel's ``eval_point``, elementwise over the points.
+        """The C kernel's per-point expression, elementwise over the points.
 
         Every value is the same expression tree of IEEE operations the
         compiled kernel evaluates for its point (no matmul, whose

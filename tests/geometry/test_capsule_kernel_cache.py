@@ -4,13 +4,18 @@ The build (or the discovery that no toolchain exists) must run at most
 once per process: a failed build is cached with a one-line warning so
 the compiler is never retried per call, and ``REPRO_DISABLE_C_KERNEL``
 is consulted on every lookup so it is honored even after a successful
-earlier load.  Libraries are cached by a digest of their source, also
-under ``REPRO_KERNEL_CACHE``, and a library built from source that
-predates the polygonisation entry point loads without it, leaving
-:func:`repro.geometry.marching._polygonise` on its NumPy pass.
+earlier load.  Libraries are cached by a digest of their source and
+compiler command, also under ``REPRO_KERNEL_CACHE``, and a library
+built from source that predates the polygonisation entry point loads
+without it, leaving :func:`repro.geometry.marching._polygonise` on its
+NumPy pass.  The kernel runs 4 SIMD lanes on x86-64 hosts with AVX2,
+else 2.
 """
 
+import platform
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,19 @@ class TestLoadedKernelShape:
         assert kernel.batch is not None
         assert kernel.polygonise is not None
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.machine() != "x86_64",
+        reason="reads the CPU flags of Linux x86-64",
+    )
+    def test_lanes_follow_avx2(self):
+        flags = set()
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("flags"):
+                flags.update(line.split(":", 1)[1].split())
+        expected = 4 if "avx2" in flags else 2
+        assert compiled_capsule_kernel().lanes == expected
+
 
 @pytest.fixture(scope="module")
 def stale_library(tmp_path_factory):
@@ -183,6 +201,17 @@ class TestStaleLibrary:
         assert len(list(cache.glob("*/capsule_union.so"))) == 2
         assert current.polygonise is not None
         assert stale.polygonise is None
+
+    def test_flags_resolve_to_distinct_libraries(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        assert capsule_kernel._build() is not None
+        monkeypatch.setattr(
+            capsule_kernel, "_CFLAGS", (*capsule_kernel._CFLAGS, "-DPROBE")
+        )
+        assert capsule_kernel._build() is not None
+        assert len(list(tmp_path.glob("*/capsule_union.so"))) == 2
 
     def test_missing_symbol_falls_back_bit_identically(
         self, stale_library, monkeypatch

@@ -21,7 +21,17 @@ primitives at every point.
 A batch mixing non-finite query points with finite ones returns the
 finite points as they come alone, and the non-finite ones as the
 kernel gave them before it culled (values recorded from the full walk).
+
+The C kernel evaluates a group of points at a time in SIMD lanes, each
+lane running the scalar expression; every property runs at each width
+the host offers (2 lanes always, 4 with AVX2), and every width gives
+the NumPy evaluator's bytes: short groups, calls either side of the
+cull's 64-point floor, non-finite points sharing a group with finite
+ones, every fold (smooth, blend 0, blend < 0), zero-length segments and
+an ellipsoid alone.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,14 +39,46 @@ from hypothesis import given, settings, strategies as st
 
 from repro.avatar.implicit import PosedBodyField
 from repro.body.pose import BodyPose
-from repro.geometry.capsule_kernel import kernel_available
+from repro.geometry.capsule_kernel import (
+    compiled_capsule_kernel,
+    kernel_available,
+)
 from repro.geometry.sdf import FusedCapsuleUnion, evaluate_batch
 
-needs_kernel = pytest.mark.skipif(
-    not kernel_available(),
-    reason="C capsule kernel unavailable (no toolchain or disabled)",
-)
-BACKENDS = ("c", "numpy") if kernel_available() else ("numpy",)
+# The C kernel at every width this host runs ("c2", "c4").
+C_BACKENDS = tuple(
+    f"c{lanes}"
+    for lanes in sorted({2, compiled_capsule_kernel().lanes})
+) if kernel_available() else ()
+BACKENDS = C_BACKENDS + ("numpy",)
+
+
+def _fused(backend, **fields):
+    """A FusedCapsuleUnion on ``backend``: "numpy", or "c2" / "c4", the
+    C kernel at that many lanes (its batch entry, which runs the host's
+    width, kept at that width only)."""
+    if backend == "numpy":
+        return FusedCapsuleUnion(backend="numpy", **fields)
+    fused = FusedCapsuleUnion(backend="c", **fields)
+    kernel, lanes = fused._kernel, int(backend[1:])
+
+    def solo(*args):
+        assert kernel.solo_lanes(*args, lanes) == lanes
+
+    fused._kernel = dataclasses.replace(
+        kernel, solo=solo,
+        batch=kernel.batch if lanes == kernel.lanes else None,
+    )
+    return fused
+
+
+def _numpy_twin(fused):
+    return FusedCapsuleUnion(
+        heads=fused._a, tails=fused._b, radii_head=fused._ra,
+        radii_tail=fused._rb, blend=fused.blend,
+        ellipsoid_center=fused._ell_center,
+        ellipsoid_radii=fused._ell_radii, backend="numpy",
+    )
 
 
 def _same_bits(got, want):
@@ -47,10 +89,22 @@ def _same_bits(got, want):
     )
 
 
+def _same_values(got, want):
+    """The same bits at every finite value, the same non-finite values
+    (NaN of any payload) elsewhere."""
+    finite = np.isfinite(want)
+    return np.array_equal(got, want, equal_nan=True) and _same_bits(
+        got[finite], want[finite]
+    )
+
+
 def _assert_call_independent(fused, points, rng):
     """Every point gives the same bytes alone, in the whole array,
-    shuffled and in random subsets."""
+    shuffled and in random subsets; on the C kernel, the NumPy
+    evaluator's bytes."""
     whole = fused(points)
+    if fused.backend == "c":
+        assert _same_values(whole, _numpy_twin(fused)(points))
     alone = np.concatenate([fused(p[None]) for p in points])
     assert _same_bits(whole, alone)
     order = rng.permutation(len(points))
@@ -62,7 +116,7 @@ def _assert_call_independent(fused, points, rng):
     assert _same_bits(batched, whole)
 
 
-def _capsule_union(rng, n_prims, blend, ellipsoid, offset, backend="c"):
+def _capsule_union(rng, n_prims, blend, ellipsoid, offset, backend):
     heads = rng.uniform(-0.5, 0.5, size=(n_prims, 3))
     tails = heads + rng.uniform(-0.3, 0.3, size=(n_prims, 3))
     degenerate = rng.random(n_prims) < 0.2
@@ -74,24 +128,23 @@ def _capsule_union(rng, n_prims, blend, ellipsoid, offset, backend="c"):
             ellipsoid_center=rng.uniform(-0.3, 0.3, size=3) + offset,
             ellipsoid_radii=rng.uniform(0.05, 0.2, size=3),
         )
-    return FusedCapsuleUnion(
-        heads=heads + offset, tails=tails + offset,
-        radii_head=radii[0], radii_tail=radii[1], blend=blend,
-        backend=backend, **extra,
+    return _fused(
+        backend, heads=heads + offset, tails=tails + offset,
+        radii_head=radii[0], radii_tail=radii[1], blend=blend, **extra,
     )
 
 
-def _posed_body(rng, offset, backend="c"):
+def _posed_body(rng, offset, backend):
     pose = BodyPose.identity()
     pose.joint_rotations[:22] = rng.normal(scale=0.25, size=(22, 3))
     pose.translation = np.asarray(offset, dtype=np.float64)
     field = PosedBodyField(pose=pose)
     fused, _ = field.kernel_problem(np.zeros((1, 3)))
-    return FusedCapsuleUnion(
-        heads=fused._a, tails=fused._b, radii_head=fused._ra,
+    return _fused(
+        backend, heads=fused._a, tails=fused._b, radii_head=fused._ra,
         radii_tail=fused._rb, blend=fused.blend,
         ellipsoid_center=fused._ell_center,
-        ellipsoid_radii=fused._ell_radii, backend=backend,
+        ellipsoid_radii=fused._ell_radii,
     )
 
 
@@ -153,11 +206,11 @@ class TestCullIsExact:
         points = _query_points(rng, fused, int(rng.integers(70, 400)))
         _assert_call_independent(fused, points, rng)
 
-    @needs_kernel
+    @pytest.mark.parametrize("backend", C_BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), where=OFFSETS)
-    def test_posed_bodies(self, seed, where):
-        self._check_posed_body(seed, where, "c")
+    def test_posed_bodies(self, backend, seed, where):
+        self._check_posed_body(seed, where, backend)
 
     # A solo NumPy call over the 70-capsule body costs ~1 ms of fold
     # steps, and each example makes ~660 of them.
@@ -202,30 +255,60 @@ class TestCullIsExact:
         points = _query_points(rng, fused, 600)
         _assert_call_independent(fused, points, rng)
 
-    @needs_kernel
-    def test_ellipsoid_only(self):
+    @pytest.mark.parametrize("backend", C_BACKENDS)
+    def test_ellipsoid_only(self, backend):
         rng = np.random.default_rng(5)
-        fused = FusedCapsuleUnion(
-            heads=np.zeros((0, 3)), tails=np.zeros((0, 3)),
-            radii_head=np.zeros(0), radii_tail=np.zeros(0),
-            ellipsoid_center=[0.1, 0.2, 0.3],
-            ellipsoid_radii=[0.2, 0.1, 0.15], backend="c",
-        )
+        fused = _ellipsoid_only(backend)
         points = _query_points(rng, fused, 200)
         _assert_call_independent(fused, points, rng)
 
-    @needs_kernel
-    def test_coincident_points(self):
+    @pytest.mark.parametrize("backend", C_BACKENDS)
+    def test_coincident_points(self, backend):
         rng = np.random.default_rng(6)
-        fused = _posed_body(rng, np.zeros(3))
+        fused = _posed_body(rng, np.zeros(3), backend)
         point = fused._a[5] + np.array([0.0, fused._ra[5], 0.0])
         points = np.repeat(point[None], 100, axis=0)
         assert _same_bits(
             fused(points), np.repeat(fused(point[None]), 100)
         )
 
+    # Groups shorter than every width, calls either side of the cull's
+    # 64-point floor, the three folds, zero-length segments (primitive
+    # 0 among them), and zero primitives plus an ellipsoid.
+    @pytest.mark.parametrize("backend", C_BACKENDS)
+    @pytest.mark.parametrize("blend", [0.05, 0.0, -0.02])
+    @pytest.mark.parametrize("count", [*range(1, 10), 63, 64, 65])
+    def test_group_edges(self, backend, blend, count):
+        rng = np.random.default_rng(count)
+        heads = rng.uniform(-0.5, 0.5, size=(6, 3))
+        tails = heads + rng.uniform(-0.3, 0.3, size=(6, 3))
+        tails[[0, 3]] = heads[[0, 3]]
+        radii = rng.uniform(0.02, 0.15, size=(2, 6))
+        fields = [_ellipsoid_only(backend, blend)]
+        for extra in ({}, _ELLIPSOID):
+            fields.append(_fused(
+                backend, heads=heads, tails=tails, radii_head=radii[0],
+                radii_tail=radii[1], blend=blend, **extra,
+            ))
+        for fused in fields:
+            points = _query_points(rng, fused, count)[:count]
+            _assert_call_independent(fused, points, rng)
 
-@needs_kernel
+
+_ELLIPSOID = dict(
+    ellipsoid_center=[0.1, 0.2, 0.3], ellipsoid_radii=[0.2, 0.1, 0.15]
+)
+
+
+def _ellipsoid_only(backend, blend=0.05):
+    return _fused(
+        backend, heads=np.zeros((0, 3)), tails=np.zeros((0, 3)),
+        radii_head=np.zeros(0), radii_tail=np.zeros(0), blend=blend,
+        **_ELLIPSOID,
+    )
+
+
+@pytest.mark.parametrize("backend", C_BACKENDS)
 class TestNoOpBoundary:
     """Points on capsule 0's surface (acc ~ 0) whose distance to
     capsule 1 is k within a few units of rounding, for blend k.  The
@@ -240,7 +323,9 @@ class TestNoOpBoundary:
         seed=st.integers(0, 2**32 - 1),
         magnitude=st.sampled_from((0.0, 1e3, 1e8)),
     )
-    def test_second_capsule_at_blend_distance(self, seed, magnitude):
+    def test_second_capsule_at_blend_distance(
+        self, backend, seed, magnitude
+    ):
         rng = np.random.default_rng(seed)
         for _ in range(8):
             direction = rng.normal(size=3)
@@ -256,24 +341,23 @@ class TestNoOpBoundary:
             spacing = k + r1 - r0 + gap
             heads = np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]])
             tails = heads + [0.0, 0.0, length]
-            fused = FusedCapsuleUnion(
-                heads=heads @ rotation.T + offset,
+            fused = _fused(
+                backend, heads=heads @ rotation.T + offset,
                 tails=tails @ rotation.T + offset,
                 radii_head=[r0, r1], radii_tail=[r0, r1], blend=k,
-                backend="c",
             )
             z = rng.uniform(0.0, length, size=4)
             line = np.stack([np.full(4, -r0), np.zeros(4), z], axis=1)
             for point in line @ rotation.T + offset:
+                alone = fused(point[None])
+                assert _same_bits(alone, _numpy_twin(fused)(point[None]))
                 copies = np.repeat(point[None], 70, axis=0)
-                assert _same_bits(
-                    fused(copies), np.repeat(fused(point[None]), 70)
-                )
+                assert _same_bits(fused(copies), np.repeat(alone, 70))
 
 
-def _non_finite_field(blend, ellipsoid):
+def _non_finite_field(blend, ellipsoid, backend):
     rng = np.random.default_rng(11)
-    return _capsule_union(rng, 12, blend, ellipsoid, np.zeros(3))
+    return _capsule_union(rng, 12, blend, ellipsoid, np.zeros(3), backend)
 
 
 _INF = float("inf")
@@ -297,11 +381,11 @@ PARENT_VALUES = {
 }
 
 
-@needs_kernel
+@pytest.mark.parametrize("backend", C_BACKENDS)
 class TestNonFinitePoints:
     @pytest.mark.parametrize("blend,ellipsoid", sorted(PARENT_VALUES))
-    def test_mixed_batch(self, blend, ellipsoid):
-        fused = _non_finite_field(blend, ellipsoid)
+    def test_mixed_batch(self, backend, blend, ellipsoid):
+        fused = _non_finite_field(blend, ellipsoid, backend)
         rng = np.random.default_rng(12)
         finite = _query_points(rng, fused, 200)
         # Huge finite coordinates overflow the bounding box's extent.
@@ -314,28 +398,47 @@ class TestNonFinitePoints:
             bad = ~np.isfinite(points).all(axis=1)
             assert _same_bits(got[~bad], alone[~bad])
             np.testing.assert_array_equal(got[bad], alone[bad])
+            assert _same_values(got, _numpy_twin(fused)(points))
         got = fused(np.vstack([finite, NON_FINITE_ROWS]))[len(finite):]
         np.testing.assert_array_equal(
             got, PARENT_VALUES[(blend, ellipsoid)]
         )
 
+    # Calls below the cull's 64-point floor walk every primitive in
+    # groups of consecutive points, so non-finite points share groups
+    # with finite ones.
+    @pytest.mark.parametrize("blend,ellipsoid", sorted(PARENT_VALUES))
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 9, 40])
+    def test_small_call(self, backend, blend, ellipsoid, count):
+        fused = _non_finite_field(blend, ellipsoid, backend)
+        rng = np.random.default_rng(count)
+        finite = _query_points(rng, fused, count)[:count]
+        points = np.vstack([finite, NON_FINITE_ROWS])
+        points = points[rng.permutation(len(points))]
+        got = fused(points)
+        alone = np.concatenate([fused(p[None]) for p in points])
+        bad = ~np.isfinite(points).all(axis=1)
+        assert _same_bits(got[~bad], alone[~bad])
+        np.testing.assert_array_equal(got[bad], alone[bad])
+        assert _same_values(got, _numpy_twin(fused)(points))
+
     @pytest.mark.parametrize("end", ["tail", "radius"])
     @pytest.mark.parametrize("value", [_INF, -_INF, _NAN])
-    def test_non_finite_primitive(self, end, value):
+    def test_non_finite_primitive(self, backend, end, value):
         # A primitive with a non-finite end or radius makes its bounds
         # meaningless; no step may be culled on them.
         rng = np.random.default_rng(13)
-        fused = _non_finite_field(0.05, True)
+        fused = _non_finite_field(0.05, True, backend)
         tails, radii = fused._b.copy(), fused._rb.copy()
         if end == "tail":
             tails[4, 0] = value
         else:
             radii[4] = abs(value)
-        broken = FusedCapsuleUnion(
-            heads=fused._a, tails=tails, radii_head=fused._ra,
+        broken = _fused(
+            backend, heads=fused._a, tails=tails, radii_head=fused._ra,
             radii_tail=radii, blend=0.05,
             ellipsoid_center=fused._ell_center,
-            ellipsoid_radii=fused._ell_radii, backend="c",
+            ellipsoid_radii=fused._ell_radii,
         )
         points = _query_points(rng, fused, 200)
         _assert_call_independent(broken, points, rng)
